@@ -1,9 +1,9 @@
 #!/bin/sh
-# Run the figure/table and hot-path benchmarks with allocation reporting
-# and write the parsed results as BENCH_<date>.json (plus the raw text next
-# to it). Narrow the set with a pattern argument:
-#   ./bench.sh              # everything
-#   ./bench.sh 'Fig[0-9]+'  # figure benches only
+# Run the study and hot-path benchmarks with allocation reporting and
+# write the parsed results as BENCH_<date>.json (plus the raw text next to
+# it). Narrow the set with a pattern argument:
+#   ./bench.sh                # everything
+#   ./bench.sh 'Ablation'     # study benches only
 #
 # Profiling: BENCH_PROFILE=1 captures CPU and heap profiles next to the
 # baseline (<stem>.<pkg>.cpu.pprof / .mem.pprof). go test refuses profile

@@ -1,11 +1,9 @@
 package repro
 
-// One benchmark per paper figure and table (reduced trial counts so the
-// full suite stays tractable — scale up with cmd/ecfig for the real
-// numbers), plus micro-benchmarks of the simulator's hot paths. Every
-// figure bench reports the median missed deadlines it measured as a custom
-// metric ("med_missed") so regressions in *result shape*, not just speed,
-// are visible in bench output.
+// Benchmarks of the ablation and extension studies (reduced trial counts so
+// the full suite stays tractable — scale up with cmd/ecfig for the real
+// numbers), plus micro-benchmarks of the simulator's hot paths. Cold paper
+// figures are timed by the perfbench module's figures workload.
 
 import (
 	"fmt"
@@ -51,86 +49,6 @@ func sharedEnv(b *testing.B) *experiment.Env {
 		b.Fatal(benchEnvErr)
 	}
 	return benchEnv
-}
-
-// benchFigure runs one paper figure end-to-end per iteration.
-func benchFigure(b *testing.B, n int) {
-	env := sharedEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var med float64
-	for i := 0; i < b.N; i++ {
-		f, err := env.Figure(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		med = f.Rows[len(f.Rows)-1].Summary.Median
-	}
-	b.ReportMetric(med, "med_missed")
-}
-
-// BenchmarkFig2_SQ regenerates Figure 2 (SQ × four filter variants).
-func BenchmarkFig2_SQ(b *testing.B) { benchFigure(b, 2) }
-
-// BenchmarkFig3_MECT regenerates Figure 3 (MECT × four filter variants).
-func BenchmarkFig3_MECT(b *testing.B) { benchFigure(b, 3) }
-
-// BenchmarkFig4_LL regenerates Figure 4 (LL × four filter variants).
-func BenchmarkFig4_LL(b *testing.B) { benchFigure(b, 4) }
-
-// BenchmarkFig5_Random regenerates Figure 5 (Random × four variants).
-func BenchmarkFig5_Random(b *testing.B) { benchFigure(b, 5) }
-
-// BenchmarkFig6_Best regenerates Figure 6 (best variation per heuristic).
-func BenchmarkFig6_Best(b *testing.B) { benchFigure(b, 6) }
-
-// BenchmarkTableSummary regenerates the §VII improvement table.
-func BenchmarkTableSummary(b *testing.B) {
-	env := sharedEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.SummaryTable(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationZetaMul sweeps fixed ζ_mul values against the adaptive
-// schedule (design-choice ablation from §V-F).
-func BenchmarkAblationZetaMul(b *testing.B) {
-	env := sharedEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.AblateZetaMul(sched.ShortestQueue{}, []float64{0.8, 1.0, 1.2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationRhoThresh sweeps the robustness threshold ρ_thresh.
-func BenchmarkAblationRhoThresh(b *testing.B) {
-	env := sharedEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.AblateRhoThresh(sched.LightestLoad{}, []float64{0.25, 0.5, 0.75}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBudget sweeps the energy budget scale.
-func BenchmarkAblationBudget(b *testing.B) {
-	env := sharedEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.AblateBudget(sched.LightestLoad{}, []float64{0.75, 1.0, 1.5}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAblationArrivals runs the §VIII arrival-pattern study.
@@ -307,10 +225,10 @@ func BenchmarkGridConvolve(b *testing.B) {
 	}
 }
 
-// BenchmarkTripleConvCDF measures one grid-mode ρ evaluation: the
+// BenchmarkTripleConvCDF measures one grid ρ evaluation: the
 // prefix-sum double loop over head × candidate impulses against the cached
 // waiting-tail grid, with nothing materialized. This is the kernel behind
-// every admission decision in grid mode.
+// every admission decision.
 func BenchmarkTripleConvCDF(b *testing.B) {
 	const step = 13.7
 	h := pmf.ToLattice(mkBenchPMF(24, step), step)
@@ -355,12 +273,14 @@ func BenchmarkDecision(b *testing.B) {
 	mapper := &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}
 	task := workload.Task{ID: 0, Type: 3, Arrival: 100, Deadline: 100 + 2.5*m.TAvg(), U: 0.5, Priority: 1}
 	rng := randx.NewStream(7)
+	ft := robustness.NewFreeTimeEngine(calc, view.NumCores())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := &sched.Context{
 			Now: 100, Task: task, Model: m, Calc: calc,
 			EnergyLeft: m.DefaultEnergyBudget(), TasksLeft: 500, AvgQueueDepth: 0.9, Rand: rng,
+			FreeTimes: ft,
 		}
 		cands := sched.BuildCandidates(ctx, view)
 		_ = mapper.Map(ctx, cands)
@@ -387,16 +307,13 @@ func BenchmarkTrial(b *testing.B) {
 	cases := []struct {
 		name   string
 		mapper *sched.Mapper
-		sparse bool
 	}{
-		{"MECT_none", &sched.Mapper{Heuristic: sched.MinExpectedCompletionTime{}}, false},
-		{"LL_en_rob", &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}, false},
-		// The pre-grid sparse pipeline, kept runnable for the speedup ratio.
-		{"LL_en_rob_sparse", &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}, true},
+		{"MECT_none", &sched.Mapper{Heuristic: sched.MinExpectedCompletionTime{}}},
+		{"LL_en_rob", &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := sim.Config{Model: m, Mapper: c.mapper, EnergyBudget: math.Inf(1), SparsePMF: c.sparse}
+			cfg := sim.Config{Model: m, Mapper: c.mapper, EnergyBudget: math.Inf(1)}
 			b.ReportAllocs()
 			before := pmf.ReadOpCounts()
 			for i := 0; i < b.N; i++ {
@@ -599,10 +516,9 @@ func (v *busyView) CoreID(i int) cluster.CoreID      { return v.c.Cores()[i] }
 func (v *busyView) Queue(i int) robustness.CoreQueue { return v.queues[i] }
 
 // BenchmarkBuildCandidates measures candidate enumeration plus the full
-// LL+en+rob filter chain over a busy cluster — the mapping hot path — with
-// and without the cross-decision free-time engine. "fresh" derives every
-// core's chain per decision (the pre-cache behavior); "cached" hits the
-// engine's per-core chains, as the engines do between queue mutations.
+// LL+en+rob filter chain over a busy cluster — the mapping hot path —
+// against the engine's per-core cached chains, as the engines see them
+// between queue mutations.
 func BenchmarkBuildCandidates(b *testing.B) {
 	m := microModel(b)
 	calc := robustness.NewCalculator(m)
@@ -610,7 +526,8 @@ func BenchmarkBuildCandidates(b *testing.B) {
 	mapper := &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}
 	task := workload.Task{ID: 0, Type: 3, Arrival: 100, Deadline: 100 + 2.5*m.TAvg(), U: 0.5, Priority: 1}
 	now := 100.0
-	run := func(b *testing.B, ft *robustness.FreeTimeEngine) {
+	b.Run("cached", func(b *testing.B) {
+		ft := robustness.NewFreeTimeEngine(calc, view.NumCores())
 		rng := randx.NewStream(7)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -626,10 +543,6 @@ func BenchmarkBuildCandidates(b *testing.B) {
 		}
 		d := pmf.ReadOpCounts().Sub(before)
 		b.ReportMetric(float64(d.Convolutions)/float64(b.N), "conv/decision")
-	}
-	b.Run("fresh", func(b *testing.B) { run(b, nil) })
-	b.Run("cached", func(b *testing.B) {
-		run(b, robustness.NewFreeTimeEngine(calc, view.NumCores()))
 	})
 }
 

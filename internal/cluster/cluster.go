@@ -18,6 +18,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/randx"
 )
@@ -121,7 +122,8 @@ func (c CoreID) String() string { return fmt.Sprintf("n%d.p%d.c%d", c.Node, c.Pr
 type Cluster struct {
 	Nodes []Node `json:"nodes"`
 
-	cores []CoreID // lazily built flattened index
+	coresOnce sync.Once
+	cores     []CoreID // flattened index, built once on first use
 }
 
 // ErrNoNodes is returned for clusters without nodes.
@@ -153,9 +155,10 @@ func (c *Cluster) TotalCores() int {
 }
 
 // Cores returns the flattened list of all core IDs, in (node, proc, core)
-// lexicographic order. The slice is cached; callers must not mutate it.
+// lexicographic order. The slice is built once, safely under concurrent
+// first calls, and cached; callers must not mutate it.
 func (c *Cluster) Cores() []CoreID {
-	if c.cores == nil {
+	c.coresOnce.Do(func() {
 		c.cores = make([]CoreID, 0, c.TotalCores())
 		for i := range c.Nodes {
 			for j := 0; j < c.Nodes[i].Processors; j++ {
@@ -164,7 +167,7 @@ func (c *Cluster) Cores() []CoreID {
 				}
 			}
 		}
-	}
+	})
 	return c.cores
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/randx"
@@ -144,6 +145,34 @@ func TestCoresFlattening(t *testing.T) {
 	}
 	if c.CoreIndex(CoreID{Node: 0, Proc: 99}) != -1 {
 		t.Fatal("CoreIndex should return -1 for bogus proc")
+	}
+}
+
+// TestCoresConcurrentFirstUse: trials of a fresh experiment start
+// concurrently and each asks the shared cluster for its flattened index, so
+// the first Cores() calls race one another. Under -race this fails unless
+// the index is built with synchronization; every caller must also see the
+// same, complete slice.
+func TestCoresConcurrentFirstUse(t *testing.T) {
+	c := genPaper(t, 5)
+	const workers = 8
+	got := make([][]CoreID, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			got[w] = c.Cores()
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w, cores := range got {
+		if len(cores) != c.TotalCores() || &cores[0] != &got[0][0] {
+			t.Fatalf("worker %d saw %d cores (want %d) or a different slice", w, len(cores), c.TotalCores())
+		}
 	}
 }
 

@@ -5,25 +5,25 @@ import (
 	"repro/internal/pmf"
 )
 
-// Fixed-grid (lattice) evaluation mode. EnableGrid snaps every execution
-// PMF in the model onto a common lattice once; from then on the §IV-B
-// pipeline runs in grid form end-to-end — heads and execution PMFs stay
-// sparse-on-lattice, chain products stay dense, and ρ is answered by
-// pmf.TripleConvCDF against the waiting-tail product's prefix sums with no
-// completion PMF materialized. The Grid* methods below are the naive
-// (uncached) reference; FreeTimeEngine.SetGrid routes the engine through
-// the same primitives with per-core caching and must stay bit-identical to
-// them (the grid mutation property test enforces this with ==).
+// Fixed-grid (lattice) evaluation: the reproduction's ρ. EnableGrid snaps
+// every execution PMF in the model onto a common lattice once; from then
+// on the §IV-B pipeline runs in grid form end-to-end — heads and execution
+// PMFs stay sparse-on-lattice, chain products stay dense, and ρ is
+// answered by pmf.TripleConvCDF against the waiting-tail product's prefix
+// sums with no completion PMF materialized. The Grid* methods below are
+// the naive (uncached) reference; FreeTimeEngine runs the same primitives
+// with per-core caching and must stay bit-identical to them (the grid
+// mutation property test enforces this with ==).
 //
 // Numerical contract: snapping moves each execution impulse by at most
-// step/2, so grid ρ and the sparse pipeline's ρ may differ — the grid is a
-// different (finer-grained, exactly-convolved) approximation of the same
-// chain, not a bit-compatible replacement. The parity test bounds grid ρ
-// between exact-ρ evaluations of deadlines shifted by the accumulated
-// quantization slack. Selecting the mode is therefore a config decision
-// (sim/server Config.SparsePMF opts back into the paper pipeline), and
-// record/replay gates are unaffected because both sides of any replay run
-// the same mode.
+// step/2, so grid ρ differs from the sparse Calculator's compacted ρ —
+// the grid is a different (finer-grained, exactly-convolved)
+// approximation of the same chain. TestGridRhoParity bounds grid ρ between
+// uncompacted exact-chain CDFs at deadlines shifted by the accumulated
+// quantization slack. At paper scale the difference does not move the
+// results: every median of Figs 2–6 and the §VII table computed on the
+// grid lies inside the sparse pipeline's 95% bootstrap CI (EXPERIMENTS.md,
+// "Grid vs sparse ρ").
 
 // DefaultGridRes divides the model's mean execution time T_avg to obtain
 // the default lattice step: T_avg/64 keeps per-impulse quantization under
@@ -125,7 +125,7 @@ func (c *Calculator) gridTail(q CoreQueue) pmf.Grid {
 	return w
 }
 
-// GridFreeTime is the grid-mode form of FreeTime: the head lattice
+// GridFreeTime is the grid form of FreeTime: the head lattice
 // convolved into the waiting-tail product, materialized sparse. An empty
 // queue yields the degenerate distribution at now.
 func (c *Calculator) GridFreeTime(q CoreQueue, now float64) pmf.PMF {
@@ -137,7 +137,7 @@ func (c *Calculator) GridFreeTime(q CoreQueue, now float64) pmf.PMF {
 	return c.gridTail(q).ConvolveLattice(head).PMF()
 }
 
-// GridFreeMean is the grid-mode form of the linearity shortcut: the
+// GridFreeMean is the grid form of the linearity shortcut: the
 // (truncated) head lattice mean plus the waiting tasks' lattice means.
 func (c *Calculator) GridFreeMean(q CoreQueue, now float64) float64 {
 	if len(q.Tasks) == 0 {
@@ -152,7 +152,7 @@ func (c *Calculator) GridFreeMean(q CoreQueue, now float64) float64 {
 	return mean
 }
 
-// GridProbOnTime is the grid-mode ρ(i,j,k,π,t_l,z): P(head + tail + exec ≤
+// GridProbOnTime is the grid ρ(i,j,k,π,t_l,z): P(head + tail + exec ≤
 // deadline) answered by pmf.TripleConvCDF with no completion distribution
 // materialized.
 func (c *Calculator) GridProbOnTime(q CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64) float64 {

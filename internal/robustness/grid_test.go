@@ -9,22 +9,20 @@ import (
 	"repro/internal/randx"
 )
 
-// TestFreeTimeEngineGridMatchesNaiveUnderMutation is the grid-mode twin of
-// the sparse mutation property test: a randomized enqueue / start /
-// complete / cancel / fault / time-leap sequence with the engine hooks a
-// real event loop would call, asserting after every step that the cached
-// grid pipeline (tail product, head truncation, materialized chain, ρ
-// kernel) is bit-identical to the Calculator's naive Grid* reference
-// methods. This is the acceptance proof that grid-mode caching never
-// changes results.
+// TestFreeTimeEngineGridMatchesNaiveUnderMutation drives a randomized
+// enqueue / start / complete / cancel / fault / time-leap sequence with the
+// engine hooks a real event loop would call, asserting after every step
+// that the cached grid pipeline (tail product, head truncation,
+// materialized chain, ρ kernel) is bit-identical to the Calculator's naive
+// Grid* reference methods. This is the acceptance proof that the engine's
+// caching never changes results.
 func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 	for _, seed := range []uint64{3, 4242, 555555} {
 		m := buildModel(t, seed)
 		calc := NewCalculator(m)
 		eng := NewFreeTimeEngine(calc, 1)
-		eng.SetGrid(true)
-		if !eng.Grid() || !calc.GridEnabled() || calc.GridStep() <= 0 {
-			t.Fatal("grid mode not plumbed")
+		if !calc.GridEnabled() || calc.GridStep() <= 0 {
+			t.Fatal("engine did not build the lattice table")
 		}
 		rng := randx.NewStream(seed * 17)
 		steps := propSteps(t, 500)
@@ -100,17 +98,17 @@ func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 			cp := cluster.PState(rng.IntN(cluster.NumPStates))
 			cd := now + tavg*(0.5+2*rng.Float64())
 			wantRho := calc.GridProbOnTime(q, now, ct, cp, cd)
-			if gr := eng.ProbOnTime(0, q, now, ct, cp, cd, nil); gr != wantRho {
+			if gr := eng.ProbOnTime(0, q, now, ct, cp, cd); gr != wantRho {
 				t.Fatalf("step %d: grid ProbOnTime %v, want %v", step, gr, wantRho)
 			}
-			if gr := eng.ProbOnTime(0, q, now, ct, cp, cd, nil); gr != wantRho {
+			if gr := eng.ProbOnTime(0, q, now, ct, cp, cd); gr != wantRho {
 				t.Fatalf("step %d: cached grid ProbOnTime %v, want %v", step, gr, wantRho)
 			}
 			// A deliberately tight deadline exercises the infeasibility
 			// short-circuit, which must agree with the naive kernel.
 			td := now + tavg*0.2*rng.Float64()
 			wantRho = calc.GridProbOnTime(q, now, ct, cp, td)
-			if gr := eng.ProbOnTime(0, q, now, ct, cp, td, nil); gr != wantRho {
+			if gr := eng.ProbOnTime(0, q, now, ct, cp, td); gr != wantRho {
 				t.Fatalf("step %d: tight-deadline grid ρ %v, want %v", step, gr, wantRho)
 			}
 		}
@@ -170,20 +168,21 @@ func TestGridRhoParity(t *testing.T) {
 	}
 }
 
-// TestGridEngineCounters pins the grid-mode counter semantics documented
-// on InstrumentGrid.
+// TestGridEngineCounters pins the counter semantics documented on
+// EngineCounters.
 func TestGridEngineCounters(t *testing.T) {
 	m := buildModel(t, 8)
 	calc := NewCalculator(m)
 	eng := NewFreeTimeEngine(calc, 1)
-	eng.SetGrid(true)
 	reg := metrics.NewRegistry()
 	hits, misses := reg.Counter("h"), reg.Counter("m")
 	extends, rebuilds := reg.Counter("e"), reg.Counter("r")
-	compHits, compMisses, compSkips := reg.Counter("ch"), reg.Counter("cm"), reg.Counter("cs")
+	compSkips := reg.Counter("cs")
 	gridRho, fHits, fMisses := reg.Counter("g"), reg.Counter("fh"), reg.Counter("fm")
-	eng.Instrument(hits, misses, extends, rebuilds, compHits, compMisses, compSkips)
-	eng.InstrumentGrid(gridRho, fHits, fMisses)
+	eng.Instrument(EngineCounters{
+		ChainHits: hits, ChainMisses: misses, ChainExtends: extends, ChainRebuilds: rebuilds,
+		Skips: compSkips, Rho: gridRho, FreeHits: fHits, FreeMisses: fMisses,
+	})
 
 	q := CoreQueue{Node: 0, Tasks: []QueuedTask{
 		{Type: 0, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 0},
@@ -213,19 +212,15 @@ func TestGridEngineCounters(t *testing.T) {
 		t.Fatalf("post-extend rebuild did %d lattice convolutions, want 1", d.GridConvolutions)
 	}
 
-	// ρ answered by the kernel counts gridRho and a tail-cache hit; no
-	// completion PMF is built in grid mode.
+	// ρ answered by the kernel counts gridRho and a tail-cache hit.
 	deadline := now + 20*m.TAvg()
-	eng.ProbOnTime(0, q, now, 3, cluster.P1, deadline, nil)
+	eng.ProbOnTime(0, q, now, 3, cluster.P1, deadline)
 	if gridRho.Value() != 1 || fHits.Value() != 1 || fMisses.Value() != 0 {
 		t.Fatalf("grid ρ counters: rho=%d fh=%d fm=%d, want 1/1/0",
 			gridRho.Value(), fHits.Value(), fMisses.Value())
 	}
-	if compHits.Value() != 0 || compMisses.Value() != 0 {
-		t.Fatalf("completion cache touched in grid mode: %d/%d", compHits.Value(), compMisses.Value())
-	}
 	// An infeasible deadline is short-circuited without a kernel pass.
-	if v := eng.ProbOnTime(0, q, now, 3, cluster.P1, now*(1-1e-6), nil); v != 0 {
+	if v := eng.ProbOnTime(0, q, now, 3, cluster.P1, now*(1-1e-6)); v != 0 {
 		t.Fatalf("infeasible ρ = %v, want 0", v)
 	}
 	if compSkips.Value() != 1 || gridRho.Value() != 1 {
@@ -234,8 +229,21 @@ func TestGridEngineCounters(t *testing.T) {
 
 	// After invalidation the next ρ must refold the tail: a free-time miss.
 	eng.Invalidate(0)
-	eng.ProbOnTime(0, q, now, 3, cluster.P1, deadline, nil)
+	eng.ProbOnTime(0, q, now, 3, cluster.P1, deadline)
 	if fMisses.Value() != 1 {
 		t.Fatalf("post-invalidate ρ: free misses = %d, want 1", fMisses.Value())
+	}
+
+	// Advancing now past the head's first lattice bin drifts the cut: the
+	// same queue is re-derived and counted as a rebuild, not a miss.
+	eng.FreeTime(0, q, now)
+	missesBefore := misses.Value()
+	later := calc.grid.exec[0][0][cluster.P0].lat.Min() + 1e-9
+	if later <= now {
+		t.Fatalf("test setup: later %v <= now %v", later, now)
+	}
+	eng.FreeTime(0, q, later)
+	if rebuilds.Value() != 1 || misses.Value() != missesBefore {
+		t.Fatalf("cut drift: rebuilds=%d misses=%d, want 1/%d", rebuilds.Value(), misses.Value(), missesBefore)
 	}
 }

@@ -48,12 +48,8 @@ type CoreQueue struct {
 type Calculator struct {
 	model *workload.Model
 
-	// exactRho switches ProbOnTime to the direct double-sum evaluation
-	// (see SetExactRho). Set once before use; not synchronized.
-	exactRho bool
-
 	// grid, when non-nil, holds the lattice execution table the Grid*
-	// evaluators and the engine's grid mode read. Built once by EnableGrid
+	// evaluators and the FreeTimeEngine read. Built once by EnableGrid
 	// before the calculator is shared; not synchronized.
 	grid *gridTable
 
@@ -81,64 +77,21 @@ func (c *Calculator) Instrument(freeTimeEvals, completionEvals *metrics.Counter)
 	c.completionEvals = completionEvals
 }
 
-// SetExactRho switches ProbOnTime between the paper-faithful pipeline
-// (materialize the compacted completion PMF, read its CDF at the deadline)
-// and a direct double-sum evaluation of P(free + exec <= deadline) that
-// skips both the convolution's impulse product materialization and its
-// lossy compaction. The exact mode is opt-in and off by default: it is
-// numerically tighter (no compaction error in the tail) and allocation
-// free, but therefore NOT bit-identical to the paper pipeline. Set once
-// before the calculator is shared; the flag is not synchronized.
-func (c *Calculator) SetExactRho(on bool) { c.exactRho = on }
-
-// ExactRho reports whether the exact-ρ evaluation mode is active.
-func (c *Calculator) ExactRho() bool { return c.exactRho }
-
 // FreeTime returns the distribution of the instant the core becomes free
 // (finishes everything in queue), predicted at time now. An empty queue
 // yields the degenerate distribution at now — the core's ready time.
 func (c *Calculator) FreeTime(q CoreQueue, now float64) pmf.PMF {
-	return c.FreeTimeFrom(pmf.PMF{}, q, now)
-}
-
-// HeadPMF derives the now-dependent first stage of q's §IV-B chain: the
-// completion distribution of the running task, i.e. its execution PMF
-// shifted by its start time with past impulses removed and the remainder
-// renormalized. It returns the zero PMF when the queue is empty or the
-// head task has not started (the head stage is then a pure shift that
-// FreeTimeFrom derives in place). Callers that need both the expected free
-// time and the full distribution derive the head once and pass it to
-// FreeTimeFrom, instead of repeating the Shift+TruncateBelow work.
-func (c *Calculator) HeadPMF(q CoreQueue, now float64) pmf.PMF {
-	if len(q.Tasks) == 0 || !q.Tasks[0].Started {
-		return pmf.PMF{}
-	}
-	t := q.Tasks[0]
-	comp := c.model.ExecPMF(t.Type, q.Node, t.PState).Shift(t.StartAt)
-	comp, _ = comp.TruncateBelow(now)
-	return comp
-}
-
-// FreeTimeFrom is FreeTime with the head stage optionally precomputed
-// (HeadPMF). A zero head derives it in place; either way the result is
-// bit-identical to the naive left-to-right chain.
-func (c *Calculator) FreeTimeFrom(head pmf.PMF, q CoreQueue, now float64) pmf.PMF {
 	c.freeTimeEvals.Inc()
 	if len(q.Tasks) == 0 {
 		return pmf.Point(now)
 	}
 	var free pmf.PMF
 	t0 := q.Tasks[0]
-	switch {
-	case !head.IsZero():
-		free = head
-	case t0.Started:
+	if t0.Started {
 		// Completion distribution of the running task: shift by its
 		// start, drop past impulses, renormalize (§IV-B).
-		comp := c.model.ExecPMF(t0.Type, q.Node, t0.PState).Shift(t0.StartAt)
-		comp, _ = comp.TruncateBelow(now)
-		free = comp
-	default:
+		free, _ = c.model.ExecPMF(t0.Type, q.Node, t0.PState).Shift(t0.StartAt).TruncateBelow(now)
+	} else {
 		// Convolving Point(now) with the head's execution PMF is exactly
 		// the degenerate-operand shift shortcut inside Convolve.
 		free = c.model.ExecPMF(t0.Type, q.Node, t0.PState).Shift(now)
@@ -161,36 +114,7 @@ func (c *Calculator) CompletionPMF(free pmf.PMF, taskType, node int, p cluster.P
 // probability the task completes by deadline given the core's FreeTime
 // distribution.
 func (c *Calculator) ProbOnTime(free pmf.PMF, taskType, node int, p cluster.PState, deadline float64) float64 {
-	if c.exactRho {
-		return c.probOnTimeExact(free, taskType, node, p, deadline)
-	}
 	return c.CompletionPMF(free, taskType, node, p).ProbByDeadline(deadline)
-}
-
-// probOnTimeExact evaluates P(free + exec <= deadline) directly as
-// Σ_i free.Prob(i) · exec.CDF(deadline − free.Value(i)), without
-// materializing (and compacting) the completion PMF. The free-time support
-// ascends, so once the remaining slack drops below the fastest possible
-// execution no later impulse can contribute and the sum terminates early.
-func (c *Calculator) probOnTimeExact(free pmf.PMF, taskType, node int, p cluster.PState, deadline float64) float64 {
-	c.completionEvals.Inc()
-	exec := c.model.ExecPMF(taskType, node, p)
-	if free.IsZero() || exec.IsZero() {
-		return 0
-	}
-	emin := exec.Min()
-	sum := 0.0
-	for i := 0; i < free.Len(); i++ {
-		slack := deadline - free.Value(i)
-		if slack < emin {
-			break
-		}
-		sum += free.Prob(i) * exec.CDF(slack)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
 }
 
 // ExpectedCompletion returns ECT (§V-A) for a candidate assignment. By

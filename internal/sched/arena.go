@@ -43,11 +43,9 @@ func (a *Arena) grow(maxCands, nCores int) {
 	a.shares = a.shares[:nCores]
 }
 
-// coreShare is the per-core slice of one decision's free-time memo: the
-// queue snapshot plus a lazily materialized free-time distribution shared
-// by all of the core's P-state candidates. It implements
-// robustness.FreeSource as a pointer receiver, so handing it to the engine
-// costs no closure allocation.
+// coreShare is the per-core slice of one decision: the queue snapshot the
+// engine evaluates ρ against, plus a lazily materialized free-time
+// distribution shared by all of the core's P-state candidates.
 type coreShare struct {
 	ft       *robustness.FreeTimeEngine
 	calc     *robustness.Calculator
@@ -55,7 +53,6 @@ type coreShare struct {
 	idx      int
 	q        robustness.CoreQueue
 	now      float64
-	head     pmf.PMF // precomputed head stage for the engine-less fallback
 	cached   pmf.PMF
 }
 
@@ -65,11 +62,7 @@ func (s *coreShare) FreePMF() pmf.PMF {
 	hit := !s.cached.IsZero()
 	s.counters.freeTime(hit)
 	if !hit {
-		if s.ft != nil {
-			s.cached = s.ft.FreeTime(s.idx, s.q, s.now)
-		} else {
-			s.cached = s.calc.FreeTimeFrom(s.head, s.q, s.now)
-		}
+		s.cached = s.ft.FreeTime(s.idx, s.q, s.now)
 	}
 	return s.cached
 }

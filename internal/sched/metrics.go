@@ -14,38 +14,31 @@ type Counters struct {
 	Decisions *metrics.Counter
 	// Candidates counts enumerated (core, P-state) assignments.
 	Candidates *metrics.Counter
-	// FreeTimeHits / FreeTimeMisses track the per-decision free-time
-	// distribution cache: a miss materializes the §IV-B convolution chain
-	// for a core, a hit reuses it for another P-state of the same core. In
-	// grid mode they track the same question per ρ evaluation against the
-	// engine's cached waiting-tail product (a miss folds the product).
+	// FreeTimeHits / FreeTimeMisses count, per ρ evaluation, whether the
+	// engine's cached waiting-tail product served it (a miss folds the
+	// product), and per Predict whether the decision's free-time
+	// distribution was already materialized for another P-state.
 	FreeTimeHits   *metrics.Counter
 	FreeTimeMisses *metrics.Counter
-	// GridRho counts ρ evaluations answered by the fixed-grid
-	// TripleConvCDF kernel (zero when the sparse pipeline is active).
+	// GridRho counts ρ evaluations answered by the lattice kernels.
 	GridRho *metrics.Counter
 	// RhoEvals counts ρ(i,j,k,π,t_l,z) evaluations (candidate-level
-	// completion-probability convolutions).
+	// completion-probability queries).
 	RhoEvals *metrics.Counter
 	// ChainHits / ChainMisses / ChainExtends / ChainRebuilds track the
-	// cross-decision chain cache (robustness.FreeTimeEngine): a hit returns
-	// a core's cached §IV-B chain with zero convolutions, a miss builds it
-	// from scratch, an extend absorbs a tail enqueue with one convolution,
-	// and a rebuild re-derives a current chain because the running head's
-	// truncation cut drifted.
+	// cross-decision chain cache (robustness.EngineCounters): a hit returns
+	// a core's cached free-time chain with zero convolutions, a miss builds
+	// it from scratch, an extend absorbs a tail enqueue with one
+	// convolution, and a rebuild re-derives a current chain because the
+	// running head's truncation cut drifted.
 	ChainHits     *metrics.Counter
 	ChainMisses   *metrics.Counter
 	ChainExtends  *metrics.Counter
 	ChainRebuilds *metrics.Counter
-	// CompHits / CompMisses track the engine's completion-distribution
-	// cache: a hit answers a candidate's ρ from a cached
-	// Convolve(free, exec) with zero convolutions. CompSkips counts ρ
-	// evaluations resolved to exactly zero by the infeasibility bound
-	// (deadline below the completion support's minimum) without touching
-	// any distribution.
-	CompHits   *metrics.Counter
-	CompMisses *metrics.Counter
-	CompSkips  *metrics.Counter
+	// CompSkips counts ρ evaluations resolved to exactly zero by the
+	// infeasibility bound (deadline below the completion support's
+	// minimum) without a kernel pass.
+	CompSkips *metrics.Counter
 	// Discards counts tasks whose feasible set was filtered to empty.
 	Discards *metrics.Counter
 
@@ -69,8 +62,6 @@ func NewCounters(r *metrics.Registry, filters []Filter) *Counters {
 		ChainMisses:    r.Counter("robustness_chain_cache_misses_total"),
 		ChainExtends:   r.Counter("robustness_chain_cache_extends_total"),
 		ChainRebuilds:  r.Counter("robustness_chain_cache_rebuilds_total"),
-		CompHits:       r.Counter("robustness_completion_cache_hits_total"),
-		CompMisses:     r.Counter("robustness_completion_cache_misses_total"),
 		CompSkips:      r.Counter("robustness_completion_infeasible_skips_total"),
 		Discards:       r.Counter("sched_filtered_to_empty_total"),
 	}
@@ -87,8 +78,10 @@ func (c *Counters) InstrumentFreeTimes(e *robustness.FreeTimeEngine) {
 	if c == nil || e == nil {
 		return
 	}
-	e.Instrument(c.ChainHits, c.ChainMisses, c.ChainExtends, c.ChainRebuilds, c.CompHits, c.CompMisses, c.CompSkips)
-	e.InstrumentGrid(c.GridRho, c.FreeTimeHits, c.FreeTimeMisses)
+	e.Instrument(robustness.EngineCounters{
+		ChainHits: c.ChainHits, ChainMisses: c.ChainMisses, ChainExtends: c.ChainExtends, ChainRebuilds: c.ChainRebuilds,
+		Skips: c.CompSkips, Rho: c.GridRho, FreeHits: c.FreeTimeHits, FreeMisses: c.FreeTimeMisses,
+	})
 }
 
 func (c *Counters) addDecision() {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
-	"repro/internal/pmf"
 	"repro/internal/randx"
 	"repro/internal/robustness"
 	"repro/internal/workload"
@@ -48,17 +47,9 @@ type Candidate struct {
 	share    *coreShare
 	deadline float64
 	taskType int
-	calc     *robustness.Calculator
-	counters *Counters
-	// ft, when non-nil, evaluates ρ through the cross-decision engine's
-	// completion cache (against the engine's per-core recorded queue state)
-	// instead of convolving free ⊛ exec per candidate.
-	ft *robustness.FreeTimeEngine
 
 	// rho memoizes Rho(); -1 (set by BuildCandidates) means not yet
-	// computed. The sentinel instead of a bool keeps Candidate at 128
-	// bytes — one allocation size class below the padded-bool layout,
-	// which is measurable across 300 candidates per decision.
+	// computed.
 	rho float64
 }
 
@@ -68,16 +59,14 @@ type Candidate struct {
 func (c *Candidate) ECT() float64 { return c.freeMean + c.EET }
 
 // Rho returns ρ(i,j,k,π,t_l,z): the probability of the task completing by
-// its deadline under this assignment. The underlying completion-time
-// convolution is performed once and cached.
+// its deadline under this assignment, evaluated once by the free-time
+// engine against the queue snapshot captured at BuildCandidates time and
+// cached.
 func (c *Candidate) Rho() float64 {
 	if c.rho < 0 {
-		if c.ft != nil {
-			c.rho = c.ft.RhoSeen(c.CoreIdx, c.taskType, c.PState, c.deadline, c.share)
-		} else {
-			c.rho = c.calc.ProbOnTime(c.share.FreePMF(), c.taskType, c.Core.Node, c.PState, c.deadline)
-		}
-		c.counters.addRho()
+		s := c.share
+		c.rho = s.ft.ProbOnTime(s.idx, s.q, s.now, c.taskType, c.PState, c.deadline)
+		s.counters.addRho()
 	}
 	return c.rho
 }
@@ -99,7 +88,7 @@ type Prediction struct {
 // convolves against the queue snapshot captured at BuildCandidates time, so
 // it must be called before the chosen task is enqueued.
 func (c *Candidate) Predict() Prediction {
-	comp := c.calc.CompletionPMF(c.share.FreePMF(), c.taskType, c.Core.Node, c.PState)
+	comp := c.share.calc.CompletionPMF(c.share.FreePMF(), c.taskType, c.Core.Node, c.PState)
 	return Prediction{
 		Rho:  c.Rho(),
 		Mean: comp.Mean(),
@@ -133,11 +122,9 @@ type Context struct {
 	// Counters, when non-nil, receives hot-path instrumentation (candidate
 	// enumeration, free-time cache traffic, filter rejections).
 	Counters *Counters
-	// FreeTimes, when non-nil, is the cross-decision incremental free-time
-	// engine: BuildCandidates consults (and maintains) per-core cached
-	// convolution chains instead of rebuilding every distribution from
-	// scratch. Results are bit-identical either way; nil falls back to
-	// per-decision derivation.
+	// FreeTimes is the cross-decision free-time engine every ρ and ECT
+	// comes from (required): BuildCandidates consults and maintains its
+	// per-core cached grid chains.
 	FreeTimes *robustness.FreeTimeEngine
 
 	// CoreUp, when non-nil, reports whether the core at a flat index is
@@ -185,9 +172,12 @@ type SystemView interface {
 
 // BuildCandidates enumerates every (core, P-state) assignment for the
 // context's task, precomputing queue lengths, EET, EEC, and the expected
-// free time of each core. Per-core free-time distributions are shared and
-// materialized lazily for candidates that need ρ.
+// free time of each core through ctx.FreeTimes. ρ is evaluated lazily, on
+// first use, by the same engine.
 func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
+	if ctx.FreeTimes == nil {
+		panic("sched: Context.FreeTimes is required")
+	}
 	n := view.NumCores()
 	arena := ctx.Arena
 	var cands []*Candidate
@@ -206,10 +196,9 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 		q := view.Queue(idx)
 		node := ctx.Model.Cluster.Node(id)
 
-		// The per-decision free-time memo (coreShare) shares one lazily
-		// materialized distribution across the core's P-state candidates;
-		// behind it sits either the cross-decision engine or a one-shot
-		// derivation whose head PMF is shared with the linearity shortcut.
+		// The per-decision share carries the core's queue snapshot for the
+		// engine's ρ and the lazily materialized free-time distribution
+		// Predict reads, shared by all of the core's P-state candidates.
 		var share *coreShare
 		if arena != nil {
 			share = &arena.shares[idx]
@@ -217,13 +206,7 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 			share = new(coreShare)
 		}
 		*share = coreShare{ft: ctx.FreeTimes, calc: ctx.Calc, counters: ctx.Counters, idx: idx, q: q, now: ctx.Now}
-		var freeMean float64
-		if share.ft != nil {
-			freeMean = share.ft.FreeMean(idx, q, ctx.Now)
-		} else {
-			share.head = ctx.Calc.HeadPMF(q, ctx.Now)
-			freeMean = freeMeanByLinearity(ctx, q, share.head)
-		}
+		freeMean := ctx.FreeTimes.FreeMean(idx, q, ctx.Now)
 		for _, ps := range cluster.AllPStates() {
 			if ps < ctx.PStateFloor {
 				continue
@@ -236,14 +219,9 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 				c = new(Candidate)
 			}
 			// Field-wise assignment instead of a struct literal: the
-			// literal's stack temporary plus 128-byte duffcopy is
-			// measurable at 300 candidates per decision, and with an arena
-			// every field must be overwritten anyway. ρ routes through the
-			// engine's completion cache when one is attached: a repeat of
-			// the same (type, P-state) against an unchanged chain costs no
-			// convolution. The free-time access on a completion miss still
-			// goes through the share so the per-decision cache counters
-			// keep their meaning.
+			// literal's stack temporary plus duffcopy is measurable at 300
+			// candidates per decision, and with an arena every field must
+			// be overwritten anyway.
 			c.Assignment = Assignment{Core: id, CoreIdx: idx, PState: ps}
 			c.QueueLen = len(q.Tasks)
 			c.EET = eet
@@ -252,9 +230,6 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 			c.share = share
 			c.deadline = ctx.Task.Deadline
 			c.taskType = ctx.Task.Type
-			c.calc = ctx.Calc
-			c.counters = ctx.Counters
-			c.ft = ctx.FreeTimes
 			c.rho = -1
 			cands = append(cands, c)
 		}
@@ -264,32 +239,6 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 	}
 	ctx.Counters.addCandidates(len(cands))
 	return cands
-}
-
-// freeMeanByLinearity computes E[free time] without convolutions: the
-// truncated completion mean of the running task (if any) plus the execution
-// means of the waiting tasks. head is the running task's truncated
-// completion PMF (Calculator.HeadPMF) — derived once by the caller and
-// shared with the full FreeTime chain, instead of each repeating the
-// Shift+TruncateBelow work. It is the zero PMF when the queue is empty or
-// the head task has not started.
-func freeMeanByLinearity(ctx *Context, q robustness.CoreQueue, head pmf.PMF) float64 {
-	if len(q.Tasks) == 0 {
-		return ctx.Now
-	}
-	mean := 0.0
-	for i, t := range q.Tasks {
-		if i == 0 {
-			if t.Started {
-				mean = head.Mean()
-			} else {
-				mean = ctx.Now + ctx.Model.ExecMean(t.Type, q.Node, t.PState)
-			}
-			continue
-		}
-		mean += ctx.Model.ExecMean(t.Type, q.Node, t.PState)
-	}
-	return mean
 }
 
 // Heuristic selects one assignment from the feasible (post-filter) set.

@@ -73,6 +73,7 @@ func (f *fixture) ctx() *Context {
 		TasksLeft:     f.model.Params.WindowSize - 1,
 		AvgQueueDepth: 0.5,
 		Rand:          randx.NewStream(999),
+		FreeTimes:     robustness.NewFreeTimeEngine(f.calc, f.view.NumCores()),
 	}
 }
 
@@ -114,10 +115,17 @@ func TestBuildCandidatesQueueLenAndECT(t *testing.T) {
 	if c0.QueueLen != 2 {
 		t.Fatalf("QueueLen %d, want 2", c0.QueueLen)
 	}
-	node0 := f.view.CoreID(0).Node
-	wait := ctx.Now + f.model.ExecPMF(1, node0, cluster.P0).Mean() + f.model.ExecPMF(3, node0, cluster.P1).Mean()
-	if math.Abs(c0.ECT()-(wait+c0.EET)) > 1e-6 {
+	// ECT is the grid free-time mean plus EET; the grid mean sits within
+	// the lattice quantization (step/2 per operand, plus the shift by now)
+	// of the sparse linearity sum.
+	wait := f.calc.GridFreeMean(f.view.Queue(0), ctx.Now)
+	if math.Abs(c0.ECT()-(wait+c0.EET)) > 1e-9 {
 		t.Fatalf("ECT with queue %v, want %v", c0.ECT(), wait+c0.EET)
+	}
+	node0 := f.view.CoreID(0).Node
+	sparse := ctx.Now + f.model.ExecPMF(1, node0, cluster.P0).Mean() + f.model.ExecPMF(3, node0, cluster.P1).Mean()
+	if slack := 3 * f.calc.GridStep() / 2; math.Abs(wait-sparse) > slack {
+		t.Fatalf("grid free-time mean %v, sparse %v: beyond quantization slack %v", wait, sparse, slack)
 	}
 	// Other cores still empty.
 	if cands[cluster.NumPStates].QueueLen != 0 {

@@ -214,17 +214,6 @@ type Config struct {
 	// DrainGrace bounds the wall time Drain may spend fast-forwarding
 	// in-flight work; defaults to 10s.
 	DrainGrace time.Duration
-	// ExactRho switches candidate ρ evaluation to the direct double-sum
-	// P(free + exec <= deadline) instead of materializing and compacting
-	// the completion PMF (robustness.Calculator.SetExactRho). Numerically
-	// tighter and allocation-free on the serving hot path, but not
-	// bit-identical to the simulation default; off by default.
-	ExactRho bool
-	// SparsePMF forces the §IV-B chains through the original sparse
-	// impulse pipeline. By default the serving engine runs on the
-	// fixed-grid lattice fast path (see sim.Config.SparsePMF); ExactRho
-	// implies the sparse pipeline.
-	SparsePMF bool
 	// NoShedInfeasible disables deadline-aware admission shedding (tasks
 	// with hopeless deadlines then run the full filter chain instead).
 	NoShedInfeasible bool
@@ -622,12 +611,6 @@ func Prepare(cfg Config) (*Engine, error) {
 	}
 	e.queues = make([][]queued, len(e.cores))
 	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.cores))
-	if cfg.ExactRho {
-		e.calc.SetExactRho(true)
-	}
-	if !cfg.SparsePMF && !cfg.ExactRho {
-		e.ftc.SetGrid(true)
-	}
 	e.arena = sched.NewArena()
 	e.qbuf = make([][]robustness.QueuedTask, len(e.cores))
 	e.runGen = make([]int, len(e.cores))

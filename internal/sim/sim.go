@@ -95,20 +95,6 @@ type Config struct {
 	// energy.BrownoutStage / energy.DefaultBrownoutStages. Requires a
 	// finite EnergyBudget; nil reproduces the paper.
 	Brownout []energy.BrownoutStage
-	// ExactRho switches candidate ρ evaluation to the direct double-sum
-	// P(free + exec <= deadline) instead of materializing and compacting
-	// the completion PMF (robustness.Calculator.SetExactRho). Numerically
-	// tighter and allocation-free, but not bit-identical to the paper
-	// pipeline; leave false to reproduce the paper.
-	ExactRho bool
-	// SparsePMF forces the §IV-B chains through the original sparse
-	// impulse pipeline (convolve + compact per stage). By default the
-	// engine runs on the fixed-grid lattice fast path, which convolves
-	// exactly on a shared grid (robustness.DefaultGridRes bins per mean
-	// execution time) instead of compacting — different rounding, same
-	// model; set SparsePMF to reproduce the paper pipeline bit-for-bit.
-	// ExactRho implies the sparse pipeline.
-	SparsePMF bool
 }
 
 // ParkPolicy configures the power-gating extension.
@@ -518,12 +504,6 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		},
 	}
 	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.queues))
-	if cfg.ExactRho {
-		e.calc.SetExactRho(true)
-	}
-	if !cfg.SparsePMF && !cfg.ExactRho {
-		e.ftc.SetGrid(true)
-	}
 	e.arena = sched.NewArena()
 	e.qbuf = make([][]robustness.QueuedTask, len(e.queues))
 	if eo, ok := cfg.Observer.(EnergyObserver); ok {

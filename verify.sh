@@ -38,15 +38,42 @@ wait_addr() {
     exit 1
 }
 
+# gotest ARGS...: go test ARGS, after refusing a -run or -fuzz pattern that
+# lists no test in the named packages under go test -list — a renamed or
+# deleted test must fail its gate, not turn it into a silent pass.
+gotest() {
+    pat=""
+    pkgs=""
+    prev=""
+    for a in "$@"; do
+        [ "$prev" = "-run" ] && pat="$a"
+        case "$a" in
+        -run=* | -fuzz=*) pat="${a#*=}" ;;
+        ./*) pkgs="$pkgs $a" ;;
+        esac
+        prev="$a"
+    done
+    if [ -n "$pat" ]; then
+        # shellcheck disable=SC2086 # pkgs is a word list
+        n="$(go test -list "$pat" $pkgs | grep -c -E '^(Test|Fuzz|Example|Benchmark)')" || true
+        if [ "${n:-0}" -eq 0 ]; then
+            echo "verify: go test pattern '$pat' matches no test in$pkgs" >&2
+            exit 1
+        fi
+    fi
+    go test "$@"
+}
+
 echo "== tier 1: go build ./..."
 go build ./...
 echo "== tier 1: go test ./..."
 go test ./...
 # The cache-parity suite proves the incremental free-time engine is
-# bit-identical to the naive recomputation; run it under the race detector
-# so a cache shared across goroutines can never slip in unnoticed.
+# bit-identical to the naive grid recomputation, and the parity test bounds
+# grid ρ against the exact chain; run them under the race detector so a
+# cache shared across goroutines can never slip in unnoticed.
 echo "== tier 1: go test -race (free-time cache parity)"
-go test -race -run 'FreeTimeEngine|ExactRho' ./internal/robustness
+gotest -race -run 'FreeTimeEngineGrid|GridRhoParity|GridEngineCounters' ./internal/robustness
 # Static analysis and vulnerability scanning run when the tools are on
 # PATH; the container image doesn't ship them and nothing may be
 # installed here, so absence is a skip, not a failure.
@@ -75,32 +102,32 @@ if [ "$tier" -ge 2 ]; then
     go test -race -count=2 ./internal/fault ./internal/sim ./internal/energy
     # The mutation property test again, with a 20x step budget: long
     # randomized enqueue/start/complete/requeue sequences against the
-    # incremental free-time engine, bit-compared to naive recomputation.
+    # incremental free-time engine, bit-compared to naive grid recomputation.
     echo "== tier 2: go test (free-time property, 10k steps)"
-    FREETIME_PROP_STEPS=10000 go test -run FreeTimeEngineMatchesNaive -count=1 ./internal/robustness
+    FREETIME_PROP_STEPS=10000 gotest -run FreeTimeEngineGridMatchesNaive -count=1 ./internal/robustness
     # Grid quantization contract, race-enabled with a raised trial budget:
     # random operand chains must keep the lattice CDF inside the exact
     # chain's q·step/2 bracket, and the cached grid engine must stay
     # bit-identical to naive grid recomputation under long mutation runs.
     echo "== tier 2: go test -race (grid-vs-exact parity, 2k trials)"
-    GRID_PROP_STEPS=2000 go test -race -run GridConvolveMatchesExact -count=1 ./internal/pmf
-    FREETIME_PROP_STEPS=2000 go test -race -run 'FreeTimeEngineGrid|GridRhoParity' -count=1 ./internal/robustness
+    GRID_PROP_STEPS=2000 gotest -race -run GridConvolveMatchesExact -count=1 ./internal/pmf
+    FREETIME_PROP_STEPS=2000 gotest -race -run 'FreeTimeEngineGrid|GridRhoParity' -count=1 ./internal/robustness
     # Resume equivalence: interrupted sweeps replayed from the journal must
     # be bit-identical to uninterrupted runs, on every pass.
     echo "== tier 2: go test -run Resume -count=2 (journal resume)"
-    go test -run Resume -count=2 ./internal/experiment
+    gotest -run Resume -count=2 ./internal/experiment
     # Fuzz the external input surfaces (PMF JSON loader, -faults parser)
     # briefly; regressions found here land as crash corpus entries.
     echo "== tier 2: go fuzz (pmf FromJSON, 10s)"
-    go test -fuzz=FuzzPMFFromJSON -fuzztime=10s ./internal/pmf
+    gotest -fuzz=FuzzPMFFromJSON -fuzztime=10s ./internal/pmf
     echo "== tier 2: go fuzz (fault ParseSpec, 10s)"
-    go test -fuzz=FuzzFaultParseSpec -fuzztime=10s ./internal/fault
+    gotest -fuzz=FuzzFaultParseSpec -fuzztime=10s ./internal/fault
     echo "== tier 2: go fuzz (server DecodeTask, 10s)"
-    go test -fuzz=FuzzServerDecodeTask -fuzztime=10s ./internal/server
+    gotest -fuzz=FuzzServerDecodeTask -fuzztime=10s ./internal/server
     echo "== tier 2: go fuzz (trace Decode, 10s)"
-    go test -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace
+    gotest -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/trace
     echo "== tier 2: go fuzz (workload TenantSpec, 10s)"
-    go test -fuzz=FuzzTenantSpec -fuzztime=10s ./internal/workload
+    gotest -fuzz=FuzzTenantSpec -fuzztime=10s ./internal/workload
     # Flight-recorder gate: record one run, replay it from the trace alone,
     # and require the replayed file to be byte-identical to the record —
     # cmp, not a field comparison, so nothing can hide in encoding drift.
