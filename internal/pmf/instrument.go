@@ -2,11 +2,18 @@ package pmf
 
 import "sync/atomic"
 
-// Hot-path operation counters. Convolution is the scheduler's dominant
-// cost (§IV-B chains one convolution per queued task per candidate core),
-// so the package keeps process-global atomic tallies that the experiment
-// harness samples before and after a run to attribute work. One atomic add
-// per convolution is noise next to the O(n·m) impulse product itself.
+// Operation counters. The package keeps process-global atomic tallies of
+// its convolutions, which the experiment harness and the benchmarks sample
+// before and after a run to attribute work.
+//
+// Rule: no process-global counter on a per-candidate path. Every trial
+// worker in the process bumps the same cache line, so a global atomic on a
+// path that runs once per candidate — the ρ kernels run tens of millions
+// of times per figure round — costs more than the arithmetic it counts and
+// serializes workers that share nothing else. Convolutions run once per
+// queue change, not per candidate, so they may keep a global tally;
+// per-candidate work is counted per engine (robustness.EngineCounters,
+// exported per trial as robustness_grid_rho_total).
 var (
 	opConvolutions      atomic.Int64
 	opBucketed          atomic.Int64
@@ -14,7 +21,6 @@ var (
 	opImpulsesCompacted atomic.Int64
 	opGridConvolutions  atomic.Int64
 	opFFTConvolutions   atomic.Int64
-	opGridRhoEvals      atomic.Int64
 )
 
 // OpCounts is a sample of the package's operation counters.
@@ -36,9 +42,6 @@ type OpCounts struct {
 	// FFTConvolutions counts the subset of GridConvolutions dispatched to
 	// the FFT kernel above the support-length crossover.
 	FFTConvolutions int64 `json:"fftConvolutions"`
-	// GridRhoEvals counts ρ evaluations answered by TripleConvCDF — a
-	// prefix-sum double loop in place of a convolution plus CDF walk.
-	GridRhoEvals int64 `json:"gridRhoEvals"`
 }
 
 // ReadOpCounts samples the counters. Counters increase monotonically for
@@ -52,7 +55,6 @@ func ReadOpCounts() OpCounts {
 		ImpulsesCompacted:    opImpulsesCompacted.Load(),
 		GridConvolutions:     opGridConvolutions.Load(),
 		FFTConvolutions:      opFFTConvolutions.Load(),
-		GridRhoEvals:         opGridRhoEvals.Load(),
 	}
 }
 
@@ -65,6 +67,5 @@ func (c OpCounts) Sub(prev OpCounts) OpCounts {
 		ImpulsesCompacted:    c.ImpulsesCompacted - prev.ImpulsesCompacted,
 		GridConvolutions:     c.GridConvolutions - prev.GridConvolutions,
 		FFTConvolutions:      c.FFTConvolutions - prev.FFTConvolutions,
-		GridRhoEvals:         c.GridRhoEvals - prev.GridRhoEvals,
 	}
 }

@@ -266,15 +266,6 @@ func compactImpulses(vals, probs []float64, maxImpulses int) PMF {
 	return PMF{vals: outV, probs: outP}
 }
 
-// SearchValue returns the index of the first support value >= t — the cut
-// TruncateBelow(t) would apply: 0 keeps every impulse, Len() keeps none.
-// The zero PMF yields 0. Because the truncation depends on t only through
-// this index, two instants with the same cut produce bit-identical
-// truncations — the invariant the incremental free-time cache keys on.
-func (p PMF) SearchValue(t float64) int {
-	return sort.SearchFloat64s(p.vals, t)
-}
-
 // TruncateBelow removes all impulses with value < t and renormalizes the
 // remainder — the "remove the past impulses and re-normalize" step of
 // §IV-B for a task already executing at the current time-step. It returns

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/pmf"
+	"repro/internal/workload"
 )
 
 // FreeTimeEngine caches each core's §IV-B free-time chain across mapping
@@ -37,6 +38,7 @@ import (
 // one engine instance.
 type FreeTimeEngine struct {
 	calc  *Calculator
+	lat   *workload.Lattices
 	cores []coreChain
 	ctr   EngineCounters
 }
@@ -52,7 +54,8 @@ type EngineCounters struct {
 	// Skips counts ρ evaluations resolved to exactly zero by the
 	// infeasibility bound, without a kernel pass.
 	Skips *metrics.Counter
-	// Rho counts ρ evaluations answered by the lattice kernels.
+	// Rho counts ρ evaluations and threshold queries answered by the
+	// lattice kernels (each kernel pass, whether or not it stopped early).
 	Rho *metrics.Counter
 	// FreeHits and FreeMisses count whether the free-time state a ρ
 	// evaluation read (the waiting-tail product) came from cache or had to
@@ -104,7 +107,8 @@ type coreChain struct {
 	// rho memoizes the candidate-independent slice of a ρ evaluation —
 	// the head lattice, its cut, and the chain's minimum completion bound
 	// — per (version, queue length, decision instant). Every P-state
-	// candidate on the core shares these within a decision.
+	// candidate on the core shares these within a decision. An empty
+	// queue needs only the bound (rhoHead is not set).
 	rhoHead    pmf.Lattice
 	rhoCut     int
 	rhoFreeMin float64
@@ -123,16 +127,13 @@ type coreChain struct {
 }
 
 // NewFreeTimeEngine returns an engine for numCores cores evaluating
-// against calc's model. It builds calc's lattice table at the default step
-// if calc has none, so call it before the calculator is shared.
+// against calc's model, reading the model's shared lattice table (built on
+// the model's first use).
 func NewFreeTimeEngine(calc *Calculator, numCores int) *FreeTimeEngine {
 	if calc == nil {
 		panic("robustness: nil calculator")
 	}
-	if !calc.GridEnabled() {
-		calc.EnableGrid(0)
-	}
-	return &FreeTimeEngine{calc: calc, cores: make([]coreChain, numCores)}
+	return &FreeTimeEngine{calc: calc, lat: calc.model.Lattices(), cores: make([]coreChain, numCores)}
 }
 
 // Instrument attaches the engine's counters.
@@ -151,17 +152,16 @@ func (e *FreeTimeEngine) Invalidate(coreIdx int) {
 // otherwise pay; if not, the next query folds it lazily.
 func (e *FreeTimeEngine) OnEnqueue(coreIdx, node, taskType int, ps cluster.PState, queueLen int) {
 	c := &e.cores[coreIdx]
-	g := e.calc.grid
 	switch {
 	case queueLen == 1:
 		// The enqueued task is the head: the waiting tail is empty, and
 		// the identity product is valid no matter what was cached.
-		c.tail, c.tailLen, c.tailVer, c.tailOK = g.identity, 0, c.ver, true
+		c.tail, c.tailLen, c.tailVer, c.tailOK = e.lat.Identity, 0, c.ver, true
 	case c.tailOK && c.tailVer == c.ver && c.tailLen == queueLen-2:
 		// Extending at the right end is exactly the next iteration of the
 		// left-to-right fold gridTail runs, so the extended product is
 		// bit-identical to a fresh rebuild.
-		c.tail = c.tail.ConvolveLattice(g.exec[taskType][node][ps].lat)
+		c.tail = c.tail.ConvolveLattice(e.lat.Exec(taskType, node, ps).Lat)
 		c.tailLen = queueLen - 1
 		e.ctr.ChainExtends.Inc()
 	default:
@@ -177,9 +177,8 @@ func (e *FreeTimeEngine) FreeMean(coreIdx int, q CoreQueue, now float64) float64
 		return now
 	}
 	_, mean, _ := e.gridHeadFor(&e.cores[coreIdx], q, now)
-	g := e.calc.grid
 	for _, t := range q.Tasks[1:] {
-		mean += g.exec[t.Type][q.Node][t.PState].mean
+		mean += e.lat.Exec(t.Type, q.Node, t.PState).Mean
 	}
 	return mean
 }
@@ -223,8 +222,10 @@ func (e *FreeTimeEngine) FreeTime(coreIdx int, q CoreQueue, now float64) pmf.PMF
 // ProbOnTime returns ρ(i,j,k,π,t_l,z) for a candidate of taskType at
 // P-state ps against the core's current queue, bit-identical to
 // Calculator.GridProbOnTime: ρ comes from prefix sums of the cached
-// tail⊛head product, or from the direct triple sum when the head is
-// uncacheable.
+// tail⊛head product, from the direct triple sum when the head is
+// uncacheable, or — on an idle core, whose head is the point now and
+// whose tail is the identity — from one binary search in the candidate's
+// own prefix sums (pmf.PointConvCDF, bit-identical to that triple sum).
 //
 // An infeasibility bound short-circuits hopeless candidates, and the skip
 // is exact: TripleConvCDF sums w's prefix sums at floor-index offsets, and
@@ -234,31 +235,60 @@ func (e *FreeTimeEngine) FreeTime(coreIdx int, q CoreQueue, now float64) pmf.PMF
 // the first massive bin, so the kernel would return exactly 0.0.
 // Overloaded cores make this the common case.
 func (e *FreeTimeEngine) ProbOnTime(coreIdx int, q CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64) float64 {
+	return e.ProbOnTimeFrom(coreIdx, q, now, taskType, ps, deadline, pmf.CDFPartial{})
+}
+
+// ProbOnTimeFrom is ProbOnTime finishing the prefix-sum pass that
+// ProbAtLeast stopped at (part) for the same candidate and queue state,
+// instead of repeating it: bit-identical to ProbOnTime.
+func (e *FreeTimeEngine) ProbOnTimeFrom(coreIdx int, q CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64, part pmf.CDFPartial) float64 {
+	_, rho, _ := e.rho(coreIdx, q, now, taskType, ps, deadline, 0, false, part)
+	return rho
+}
+
+// ProbAtLeast reports whether ProbOnTime with the same arguments is >= t,
+// with exactly the verdict that comparison gives. It also returns ρ when
+// deciding required all of it; rho < 0 means the verdict was settled
+// early and ρ itself is unknown, and part is then the prefix of the pass
+// ProbOnTimeFrom can finish. On a busy core with a cacheable head the
+// prefix-sum pass stops as soon as the verdict is settled
+// (pmf.Grid.ConvCDFAtLeast, which carries the exactness argument); every
+// other path is cheap enough to compute ρ and compare.
+func (e *FreeTimeEngine) ProbAtLeast(coreIdx int, q CoreQueue, now float64, taskType int, ps cluster.PState, deadline, t float64) (atLeast bool, rho float64, part pmf.CDFPartial) {
+	return e.rho(coreIdx, q, now, taskType, ps, deadline, t, true, pmf.CDFPartial{})
+}
+
+// rho is ProbOnTimeFrom and ProbAtLeast: with threshold unset it computes
+// ρ in full, from part on, and its verdict is unused.
+func (e *FreeTimeEngine) rho(coreIdx int, q CoreQueue, now float64, taskType int, ps cluster.PState, deadline, t float64, threshold bool, part pmf.CDFPartial) (bool, float64, pmf.CDFPartial) {
 	c := &e.cores[coreIdx]
-	g := e.calc.grid
-	exec := &g.exec[taskType][q.Node][ps]
+	exec := e.lat.Exec(taskType, q.Node, ps)
 	if !(c.rhoOK && c.rhoVer == c.ver && c.rhoLen == len(q.Tasks) && c.rhoNow == now) {
 		if len(q.Tasks) == 0 {
-			c.rhoHead = pmf.PointLattice(now, g.step)
 			c.rhoCut = -1
 			c.rhoFreeMin = now
 		} else {
 			c.rhoHead, _, c.rhoCut = e.gridHeadFor(c, q, now)
 			freeMin := c.rhoHead.Min()
 			for _, t := range q.Tasks[1:] {
-				freeMin += g.exec[t.Type][q.Node][t.PState].min
+				freeMin += e.lat.Exec(t.Type, q.Node, t.PState).Min
 			}
 			c.rhoFreeMin = freeMin
 		}
 		c.rhoVer, c.rhoLen, c.rhoNow, c.rhoOK = c.ver, len(q.Tasks), now, true
 	}
-	if bound := c.rhoFreeMin + exec.min; bound > 0 && deadline < bound*(1-1e-9) {
+	if bound := c.rhoFreeMin + exec.Min; bound > 0 && deadline < bound*(1-1e-9) {
 		e.ctr.Skips.Inc()
-		return 0
+		return 0 >= t, 0, pmf.CDFPartial{}
 	}
 	e.ctr.Rho.Inc()
 	e.calc.completionEvals.Inc()
-	if c.rhoCut >= 0 {
+	var rho float64
+	switch {
+	case len(q.Tasks) == 0:
+		e.ctr.FreeHits.Inc()
+		rho = pmf.PointConvCDF(now, &exec.Lat, deadline)
+	case c.rhoCut >= 0:
 		// Cacheable head: every candidate on this core shares the dense
 		// tail⊛head factor, so ρ is one O(|exec|) prefix-sum pass.
 		wh, hit, folded := e.hwFor(c, q, &c.rhoHead, c.rhoCut)
@@ -267,15 +297,20 @@ func (e *FreeTimeEngine) ProbOnTime(coreIdx int, q CoreQueue, now float64, taskT
 		} else {
 			e.ctr.FreeMisses.Inc()
 		}
-		return wh.ConvCDF(&exec.lat, deadline)
+		if threshold {
+			return wh.ConvCDFAtLeast(&exec.Lat, deadline, t)
+		}
+		rho = wh.ConvCDFFrom(&exec.Lat, deadline, part)
+	default:
+		tail, folded := e.tailFor(c, q)
+		if folded {
+			e.ctr.FreeMisses.Inc()
+		} else {
+			e.ctr.FreeHits.Inc()
+		}
+		rho = pmf.TripleConvCDF(&c.rhoHead, tail, &exec.Lat, deadline)
 	}
-	tail, folded := e.tailFor(c, q)
-	if folded {
-		e.ctr.FreeMisses.Inc()
-	} else {
-		e.ctr.FreeHits.Inc()
-	}
-	return pmf.TripleConvCDF(&c.rhoHead, tail, &exec.lat, deadline)
+	return rho >= t, rho, pmf.CDFPartial{}
 }
 
 // hwFor returns the core's dense tail ⊛ headL product for a cacheable head
@@ -299,14 +334,14 @@ func (e *FreeTimeEngine) hwFor(c *coreChain, q CoreQueue, headL *pmf.Lattice, cu
 // uncacheable heads (unstarted: pure shift by now; fully overdue:
 // degenerate point at now) are returned with cut == -1 and never stored.
 func (e *FreeTimeEngine) gridHeadFor(c *coreChain, q CoreQueue, now float64) (pmf.Lattice, float64, int) {
-	g := e.calc.grid
 	t0 := q.Tasks[0]
+	exec := &e.lat.Exec(t0.Type, q.Node, t0.PState).Lat
 	if !t0.Started {
-		lat := g.exec[t0.Type][q.Node][t0.PState].lat.Shift(now)
+		lat := exec.Shift(now)
 		return lat, lat.Mean(), -1
 	}
 	if !c.baseLOK || c.baseLVer != c.ver {
-		c.baseL = g.exec[t0.Type][q.Node][t0.PState].lat.Shift(t0.StartAt)
+		c.baseL = exec.Shift(t0.StartAt)
 		c.baseLVer = c.ver
 		c.baseLOK = true
 		c.headLOK = false
@@ -319,7 +354,7 @@ func (e *FreeTimeEngine) gridHeadFor(c *coreChain, q CoreQueue, now float64) (pm
 	if kept <= 0 {
 		// All remaining mass is overdue: the same degenerate point the
 		// naive pipeline produces. Depends on raw now, so never cached.
-		lat := pmf.PointLattice(now, g.step)
+		lat := pmf.PointLattice(now, e.lat.Step)
 		return lat, now, -1
 	}
 	c.headL = trunc
@@ -336,7 +371,7 @@ func (e *FreeTimeEngine) gridHeadFor(c *coreChain, q CoreQueue, now float64) (pm
 // cached, extended, and fresh tails are all bit-identical.
 func (e *FreeTimeEngine) tailFor(c *coreChain, q CoreQueue) (*pmf.Grid, bool) {
 	if len(q.Tasks) <= 1 {
-		return &e.calc.grid.identity, false
+		return &e.lat.Identity, false
 	}
 	if c.tailOK && c.tailVer == c.ver && c.tailLen == len(q.Tasks)-1 {
 		return &c.tail, false

@@ -5,15 +5,16 @@ import (
 	"repro/internal/pmf"
 )
 
-// Fixed-grid (lattice) evaluation: the reproduction's ρ. EnableGrid snaps
-// every execution PMF in the model onto a common lattice once; from then
-// on the §IV-B pipeline runs in grid form end-to-end — heads and execution
-// PMFs stay sparse-on-lattice, chain products stay dense, and ρ is
-// answered by pmf.TripleConvCDF against the waiting-tail product's prefix
-// sums with no completion PMF materialized. The Grid* methods below are
-// the naive (uncached) reference; FreeTimeEngine runs the same primitives
-// with per-core caching and must stay bit-identical to them (the grid
-// mutation property test enforces this with ==).
+// Fixed-grid (lattice) evaluation: the reproduction's ρ. The model's
+// execution pmfs are snapped onto a common lattice once per model
+// (workload.Model.Lattices); from then on the §IV-B pipeline runs in grid
+// form end-to-end — heads and execution PMFs stay sparse-on-lattice, chain
+// products stay dense, and ρ is answered by pmf.TripleConvCDF against the
+// waiting-tail product's prefix sums with no completion PMF materialized.
+// The Grid* methods below are the naive (uncached) reference;
+// FreeTimeEngine runs the same primitives with per-core caching and must
+// stay bit-identical to them (the grid mutation property test enforces
+// this with ==).
 //
 // Numerical contract: snapping moves each execution impulse by at most
 // step/2, so grid ρ differs from the sparse Calculator's compacted ρ —
@@ -25,65 +26,6 @@ import (
 // grid lies inside the sparse pipeline's 95% bootstrap CI (EXPERIMENTS.md,
 // "Grid vs sparse ρ").
 
-// DefaultGridRes divides the model's mean execution time T_avg to obtain
-// the default lattice step: T_avg/64 keeps per-impulse quantization under
-// 0.8% of a typical execution time while a depth-10 chain product stays a
-// few thousand bins.
-const DefaultGridRes = 64
-
-// gridExec is one execution PMF snapped onto the shared lattice, with the
-// derived scalars the hot path reads per candidate.
-type gridExec struct {
-	lat  pmf.Lattice
-	mean float64
-	min  float64
-}
-
-// gridTable holds the lattice forms of every execution PMF, indexed like
-// workload.Model's table: [taskType][node][pstate].
-type gridTable struct {
-	step     float64
-	identity pmf.Grid // shared convolution identity, minted once
-	exec     [][][]gridExec
-}
-
-// EnableGrid builds the lattice execution table for the given step (<= 0
-// selects TAvg/DefaultGridRes) and switches the Grid* evaluators on.
-// Idempotent for the same step; call once before the calculator is shared.
-func (c *Calculator) EnableGrid(step float64) {
-	if step <= 0 {
-		step = c.model.TAvg() / DefaultGridRes
-	}
-	if c.grid != nil && c.grid.step == step {
-		return
-	}
-	types := c.model.Params.TaskTypes
-	nodes := c.model.Cluster.N()
-	g := &gridTable{step: step, identity: pmf.IdentityGrid(step), exec: make([][][]gridExec, types)}
-	for t := 0; t < types; t++ {
-		g.exec[t] = make([][]gridExec, nodes)
-		for n := 0; n < nodes; n++ {
-			g.exec[t][n] = make([]gridExec, cluster.NumPStates)
-			for _, ps := range cluster.AllPStates() {
-				lat := pmf.ToLattice(c.model.ExecPMF(t, n, ps), step)
-				g.exec[t][n][ps] = gridExec{lat: lat, mean: lat.Mean(), min: lat.Min()}
-			}
-		}
-	}
-	c.grid = g
-}
-
-// GridEnabled reports whether the lattice table has been built.
-func (c *Calculator) GridEnabled() bool { return c.grid != nil }
-
-// GridStep returns the lattice step, or 0 when the grid is disabled.
-func (c *Calculator) GridStep() float64 {
-	if c.grid == nil {
-		return 0
-	}
-	return c.grid.step
-}
-
 // gridHead derives the head stage of q's chain in lattice form: the
 // running task's execution lattice shifted by its start with past impulses
 // cut and renormalized, or the unstarted head's lattice shifted by now.
@@ -91,12 +33,12 @@ func (c *Calculator) GridStep() float64 {
 // index; every now-dependent degenerate case (empty queue, fully overdue
 // head) yields a point lattice at now with cut == -1.
 func (c *Calculator) gridHead(q CoreQueue, now float64) (head pmf.Lattice, cut int) {
-	g := c.grid
+	g := c.model.Lattices()
 	if len(q.Tasks) == 0 {
-		return pmf.PointLattice(now, g.step), -1
+		return pmf.PointLattice(now, g.Step), -1
 	}
 	t0 := q.Tasks[0]
-	base := g.exec[t0.Type][q.Node][t0.PState].lat
+	base := g.Exec(t0.Type, q.Node, t0.PState).Lat
 	if !t0.Started {
 		return base.Shift(now), -1
 	}
@@ -104,7 +46,7 @@ func (c *Calculator) gridHead(q CoreQueue, now float64) (head pmf.Lattice, cut i
 	k := base.SearchValue(now)
 	trunc, kept := base.TruncateAt(k)
 	if kept <= 0 {
-		return pmf.PointLattice(now, g.step), -1
+		return pmf.PointLattice(now, g.Step), -1
 	}
 	return trunc, k
 }
@@ -114,13 +56,13 @@ func (c *Calculator) gridHead(q CoreQueue, now float64) (head pmf.Lattice, cut i
 // that lattice associativity lets the engine cache and extend. An empty
 // tail is the convolution identity.
 func (c *Calculator) gridTail(q CoreQueue) pmf.Grid {
-	g := c.grid
-	w := g.identity
+	g := c.model.Lattices()
+	w := g.Identity
 	if len(q.Tasks) == 0 {
 		return w
 	}
 	for _, t := range q.Tasks[1:] {
-		w = w.ConvolveLattice(g.exec[t.Type][q.Node][t.PState].lat)
+		w = w.ConvolveLattice(g.Exec(t.Type, q.Node, t.PState).Lat)
 	}
 	return w
 }
@@ -145,9 +87,9 @@ func (c *Calculator) GridFreeMean(q CoreQueue, now float64) float64 {
 	}
 	head, _ := c.gridHead(q, now)
 	mean := head.Mean()
-	g := c.grid
+	g := c.model.Lattices()
 	for _, t := range q.Tasks[1:] {
-		mean += g.exec[t.Type][q.Node][t.PState].mean
+		mean += g.Exec(t.Type, q.Node, t.PState).Mean
 	}
 	return mean
 }
@@ -158,7 +100,7 @@ func (c *Calculator) GridFreeMean(q CoreQueue, now float64) float64 {
 func (c *Calculator) GridProbOnTime(q CoreQueue, now float64, taskType int, ps cluster.PState, deadline float64) float64 {
 	c.completionEvals.Inc()
 	head, cut := c.gridHead(q, now)
-	exec := &c.grid.exec[taskType][q.Node][ps].lat
+	exec := &c.model.Lattices().Exec(taskType, q.Node, ps).Lat
 	w := c.gridTail(q)
 	if cut >= 0 {
 		// Cacheable head: materialize the tail⊛head product and answer

@@ -1,6 +1,7 @@
 package robustness
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -21,9 +22,6 @@ func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 		m := buildModel(t, seed)
 		calc := NewCalculator(m)
 		eng := NewFreeTimeEngine(calc, 1)
-		if !calc.GridEnabled() || calc.GridStep() <= 0 {
-			t.Fatal("engine did not build the lattice table")
-		}
 		rng := randx.NewStream(seed * 17)
 		steps := propSteps(t, 500)
 		node := rng.IntN(m.Cluster.N())
@@ -104,6 +102,7 @@ func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 			if gr := eng.ProbOnTime(0, q, now, ct, cp, cd); gr != wantRho {
 				t.Fatalf("step %d: cached grid ProbOnTime %v, want %v", step, gr, wantRho)
 			}
+			assertAtLeastAgrees(t, step, eng, q, now, ct, cp, cd, wantRho)
 			// A deliberately tight deadline exercises the infeasibility
 			// short-circuit, which must agree with the naive kernel.
 			td := now + tavg*0.2*rng.Float64()
@@ -111,6 +110,28 @@ func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 			if gr := eng.ProbOnTime(0, q, now, ct, cp, td); gr != wantRho {
 				t.Fatalf("step %d: tight-deadline grid ρ %v, want %v", step, gr, wantRho)
 			}
+			assertAtLeastAgrees(t, step, eng, q, now, ct, cp, td, wantRho)
+		}
+	}
+}
+
+// assertAtLeastAgrees checks the engine's threshold query against the
+// reference ρ at the paper threshold and at the thresholds where a wrong
+// early stop would show: ρ itself and its float neighbours. A returned ρ,
+// and ρ finished from the returned prefix, must be the reference value
+// bit for bit.
+func assertAtLeastAgrees(t *testing.T, step int, eng *FreeTimeEngine, q CoreQueue, now float64, ct int, cp cluster.PState, d, want float64) {
+	t.Helper()
+	for _, th := range []float64{0.5, want, math.Nextafter(want, math.Inf(1)), math.Nextafter(want, math.Inf(-1))} {
+		ok, rho, part := eng.ProbAtLeast(0, q, now, ct, cp, d, th)
+		if ok != (want >= th) {
+			t.Fatalf("step %d: ProbAtLeast(t=%v) = %v, but ρ = %v", step, th, ok, want)
+		}
+		if rho >= 0 && rho != want {
+			t.Fatalf("step %d: ProbAtLeast returned ρ %v, want %v", step, rho, want)
+		}
+		if got := eng.ProbOnTimeFrom(0, q, now, ct, cp, d, part); got != want {
+			t.Fatalf("step %d: ρ finished from %+v is %v, want %v", step, part, got, want)
 		}
 	}
 }
@@ -124,8 +145,7 @@ func TestFreeTimeEngineGridMatchesNaiveUnderMutation(t *testing.T) {
 func TestGridRhoParity(t *testing.T) {
 	m := buildModel(t, 31)
 	calc := NewCalculator(m)
-	calc.EnableGrid(0)
-	step := calc.GridStep()
+	step := m.Lattices().Step
 	rng := randx.NewStream(77)
 	tavg := m.TAvg()
 	types := m.Params.TaskTypes
@@ -238,7 +258,7 @@ func TestGridEngineCounters(t *testing.T) {
 	// same queue is re-derived and counted as a rebuild, not a miss.
 	eng.FreeTime(0, q, now)
 	missesBefore := misses.Value()
-	later := calc.grid.exec[0][0][cluster.P0].lat.Min() + 1e-9
+	later := m.Lattices().Exec(0, 0, cluster.P0).Min + 1e-9
 	if later <= now {
 		t.Fatalf("test setup: later %v <= now %v", later, now)
 	}

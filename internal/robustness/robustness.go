@@ -48,11 +48,6 @@ type CoreQueue struct {
 type Calculator struct {
 	model *workload.Model
 
-	// grid, when non-nil, holds the lattice execution table the Grid*
-	// evaluators and the FreeTimeEngine read. Built once by EnableGrid
-	// before the calculator is shared; not synchronized.
-	grid *gridTable
-
 	// Optional instrumentation, attached via Instrument. The counters are
 	// atomic, so attaching them preserves concurrent safety; nil counters
 	// make the increments no-ops.

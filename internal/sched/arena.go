@@ -43,9 +43,32 @@ func (a *Arena) grow(maxCands, nCores int) {
 	a.shares = a.shares[:nCores]
 }
 
+// QueueSnapshots is the per-core scratch an engine builds its
+// SystemView.Queue snapshots into. Snapshots are decision-scoped, so each
+// core's buffer is reused from one decision to the next. It grows the way
+// append does, at least doubling: a queue reaching a new maximum length
+// reallocates only when it outgrows that capacity, not at every new
+// maximum.
+type QueueSnapshots [][]robustness.QueuedTask
+
+// NewQueueSnapshots returns empty buffers for n cores.
+func NewQueueSnapshots(n int) QueueSnapshots { return make(QueueSnapshots, n) }
+
+// Take returns core idx's buffer resliced to length n. Its entries are
+// stale; the caller overwrites every one of them, so a regrown buffer
+// copies nothing.
+func (s QueueSnapshots) Take(idx, n int) []robustness.QueuedTask {
+	if cap(s[idx]) < n {
+		s[idx] = make([]robustness.QueuedTask, n, max(n, 2*cap(s[idx])))
+	}
+	s[idx] = s[idx][:n]
+	return s[idx]
+}
+
 // coreShare is the per-core slice of one decision: the queue snapshot the
-// engine evaluates ρ against, plus a lazily materialized free-time
-// distribution shared by all of the core's P-state candidates.
+// engine evaluates ρ against, plus the core's free-time mean and free-time
+// distribution, each computed on first use and shared by all of the core's
+// P-state candidates.
 type coreShare struct {
 	ft       *robustness.FreeTimeEngine
 	calc     *robustness.Calculator
@@ -53,7 +76,19 @@ type coreShare struct {
 	idx      int
 	q        robustness.CoreQueue
 	now      float64
+	mean     float64
+	meanOK   bool
 	cached   pmf.PMF
+}
+
+// freeMean returns (once computed) the core's expected free time for this
+// decision. The engine's answer is a pure function of the queue snapshot
+// and now, so computing it lazily changes no value.
+func (s *coreShare) freeMean() float64 {
+	if !s.meanOK {
+		s.mean, s.meanOK = s.ft.FreeMean(s.idx, s.q, s.now), true
+	}
+	return s.mean
 }
 
 // FreePMF materializes (once) and returns the core's free-time

@@ -69,9 +69,10 @@ func TestArenaMatchesFreshAllocation(t *testing.T) {
 	}
 }
 
-// TestArenaSteadyStateAllocs pins the tentpole's zero-alloc claim: once the
-// arena has grown to the cluster's candidate count, a full
-// enumerate-filter-score decision on the grid path stays allocation-free.
+// TestArenaSteadyStateAllocs pins the zero-alloc claim: once the arena has
+// grown to the cluster's candidate count, a full enumerate-filter-score
+// decision on the grid path stays allocation-free, and the queue snapshots
+// the engines feed it grow geometrically.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	f := newFixture(t, 12)
 	f.view.push(0, robustness.QueuedTask{Type: 1, PState: cluster.P0, Deadline: 1e9, Started: true, StartAt: 80})
@@ -89,5 +90,22 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	decide() // warm: grows the arena, fills engine caches
 	if n := testing.AllocsPerRun(50, decide); n > 0 {
 		t.Fatalf("steady-state decision allocates %v times, want 0", n)
+	}
+
+	// The engines snapshot their queues into QueueSnapshots. A queue that
+	// keeps reaching new maximum lengths must not reallocate its snapshot
+	// buffer at every one of them: 256 successive maxima from a fresh
+	// buffer may reallocate only O(log 256) times.
+	const maxLen = 256
+	grow := func() {
+		snaps := NewQueueSnapshots(1)
+		for n := 1; n <= maxLen; n++ {
+			if got := snaps.Take(0, n); len(got) != n {
+				t.Fatalf("Take(0, %d) has length %d", n, len(got))
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(5, grow); n > 2*8+1 {
+		t.Fatalf("growing a queue snapshot to %d tasks allocates %v times, want <= 17", maxLen, n)
 	}
 }

@@ -87,13 +87,14 @@ func (RobustnessFilter) Name() string { return "rob" }
 // NeedsRho reports true.
 func (RobustnessFilter) NeedsRho() bool { return true }
 
-// Keep retains candidates with ρ at or above the threshold.
+// Keep retains candidates with ρ at or above the threshold. It asks only
+// for the verdict (Candidate.RhoAtLeast), which is exactly Rho() >= t.
 func (f RobustnessFilter) Keep(_ *Context, c *Candidate) bool {
 	t := f.Thresh
 	if t == 0 {
 		t = PaperRhoThresh
 	}
-	return c.Rho() >= t
+	return c.RhoAtLeast(t)
 }
 
 // ReliabilityFilter eliminates assignments whose deadline probability,

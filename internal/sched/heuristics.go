@@ -72,10 +72,17 @@ func (LightestLoad) NeedsRho() bool { return true }
 // Breaking ties toward minimum EEC instead turns LL into a near-oracle that
 // finishes almost everything (see the ablation bench), which contradicts
 // the paper's Figure 4.
+//
+// The scan stops at the first zero load: L >= 0 always holds (EEC >= 0 and
+// the ρ kernels saturate at 1), so no later candidate can beat it under the
+// strict < that keeps the first of equal loads.
 func (LightestLoad) Choose(_ *Context, feasible []*Candidate) *Candidate {
 	best := feasible[0]
 	bestL := best.EEC * (1 - best.Rho())
 	for _, c := range feasible[1:] {
+		if bestL == 0 {
+			break
+		}
 		if l := c.EEC * (1 - c.Rho()); l < bestL {
 			best, bestL = c, l
 		}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
+	"repro/internal/pmf"
 	"repro/internal/randx"
 	"repro/internal/robustness"
 	"repro/internal/workload"
@@ -32,8 +33,12 @@ func (a Assignment) String() string { return fmt.Sprintf("%v@%v", a.Core, a.PSta
 
 // Candidate is one feasible assignment for the task being mapped, together
 // with the quantities heuristics and filters consume. QueueLen, EET, and
-// EEC are computed eagerly (they are cheap); the robustness value ρ is
-// computed lazily on first use because it requires a pmf convolution.
+// EEC are computed eagerly (they are cheap table reads). Everything that
+// needs the core's free-time state is lazy and answers only what is asked:
+// ECT reads the core's expected free time, computed on the first ECT of
+// any of the core's candidates and shared by the rest; Rho evaluates ρ on
+// first use; RhoAtLeast answers only whether ρ reaches a threshold, which
+// the free-time engine can often settle before finishing the sum.
 type Candidate struct {
 	Assignment
 	// QueueLen is |MQ(i,j,k,t_l)|: tasks currently assigned to the core.
@@ -43,20 +48,28 @@ type Candidate struct {
 	// EEC is the expected energy consumption (§V-A): EET·μ(i,π)/ε(i).
 	EEC float64
 
-	freeMean float64
 	share    *coreShare
 	deadline float64
 	taskType int
 
-	// rho memoizes Rho(); -1 (set by BuildCandidates) means not yet
-	// computed.
-	rho float64
+	// rho memoizes ρ once known. rhoUnasked (set by BuildCandidates) means
+	// no ρ question was asked yet; rhoUnknown means RhoAtLeast settled a
+	// verdict without the value, and part holds the prefix of ρ's sum it
+	// computed, which Rho finishes instead of repeating.
+	rho  float64
+	part pmf.CDFPartial
 }
+
+// Sentinels of Candidate.rho; ρ itself is never negative.
+const (
+	rhoUnasked = -1
+	rhoUnknown = -2
+)
 
 // ECT returns the expected completion time (§V-A). By linearity of
 // expectation it is the core's expected free time plus EET, with no
 // convolution needed.
-func (c *Candidate) ECT() float64 { return c.freeMean + c.EET }
+func (c *Candidate) ECT() float64 { return c.share.freeMean() + c.EET }
 
 // Rho returns ρ(i,j,k,π,t_l,z): the probability of the task completing by
 // its deadline under this assignment, evaluated once by the free-time
@@ -65,10 +78,34 @@ func (c *Candidate) ECT() float64 { return c.freeMean + c.EET }
 func (c *Candidate) Rho() float64 {
 	if c.rho < 0 {
 		s := c.share
-		c.rho = s.ft.ProbOnTime(s.idx, s.q, s.now, c.taskType, c.PState, c.deadline)
-		s.counters.addRho()
+		if c.rho == rhoUnasked {
+			s.counters.addRho()
+		}
+		c.rho = s.ft.ProbOnTimeFrom(s.idx, s.q, s.now, c.taskType, c.PState, c.deadline, c.part)
 	}
 	return c.rho
+}
+
+// RhoAtLeast reports Rho() >= t, with exactly that comparison's verdict,
+// without necessarily computing ρ in full: the free-time engine stops its
+// prefix-sum pass once the verdict is settled. What it did compute is kept
+// for a later Rho(): ρ itself when the engine finished the sum, else the
+// summed prefix (a candidate that passed on a prefix may still need ρ, as
+// LL's load does).
+func (c *Candidate) RhoAtLeast(t float64) bool {
+	if c.rho >= 0 {
+		return c.rho >= t
+	}
+	s := c.share
+	if c.rho == rhoUnasked {
+		s.counters.addRho()
+	}
+	ok, rho, part := s.ft.ProbAtLeast(s.idx, s.q, s.now, c.taskType, c.PState, c.deadline, t)
+	c.rho, c.part = rho, part
+	if rho < 0 {
+		c.rho = rhoUnknown
+	}
+	return ok
 }
 
 // Prediction is the scheduler's forecast for a chosen assignment at
@@ -171,9 +208,9 @@ type SystemView interface {
 }
 
 // BuildCandidates enumerates every (core, P-state) assignment for the
-// context's task, precomputing queue lengths, EET, EEC, and the expected
-// free time of each core through ctx.FreeTimes. ρ is evaluated lazily, on
-// first use, by the same engine.
+// context's task, precomputing queue lengths, EET, and EEC. The core's
+// expected free time (for ECT) and ρ are evaluated lazily, on first use,
+// through ctx.FreeTimes.
 func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 	if ctx.FreeTimes == nil {
 		panic("sched: Context.FreeTimes is required")
@@ -197,8 +234,9 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 		node := ctx.Model.Cluster.Node(id)
 
 		// The per-decision share carries the core's queue snapshot for the
-		// engine's ρ and the lazily materialized free-time distribution
-		// Predict reads, shared by all of the core's P-state candidates.
+		// engine's ρ, plus the lazily computed free-time mean ECT reads and
+		// free-time distribution Predict reads, shared by all of the
+		// core's P-state candidates.
 		var share *coreShare
 		if arena != nil {
 			share = &arena.shares[idx]
@@ -206,7 +244,6 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 			share = new(coreShare)
 		}
 		*share = coreShare{ft: ctx.FreeTimes, calc: ctx.Calc, counters: ctx.Counters, idx: idx, q: q, now: ctx.Now}
-		freeMean := ctx.FreeTimes.FreeMean(idx, q, ctx.Now)
 		for _, ps := range cluster.AllPStates() {
 			if ps < ctx.PStateFloor {
 				continue
@@ -226,11 +263,11 @@ func BuildCandidates(ctx *Context, view SystemView) []*Candidate {
 			c.QueueLen = len(q.Tasks)
 			c.EET = eet
 			c.EEC = energy.ExpectedEnergy(node, ps, eet)
-			c.freeMean = freeMean
 			c.share = share
 			c.deadline = ctx.Task.Deadline
 			c.taskType = ctx.Task.Type
-			c.rho = -1
+			c.rho = rhoUnasked
+			c.part = pmf.CDFPartial{}
 			cands = append(cands, c)
 		}
 	}

@@ -124,7 +124,7 @@ func TestBuildCandidatesQueueLenAndECT(t *testing.T) {
 	}
 	node0 := f.view.CoreID(0).Node
 	sparse := ctx.Now + f.model.ExecPMF(1, node0, cluster.P0).Mean() + f.model.ExecPMF(3, node0, cluster.P1).Mean()
-	if slack := 3 * f.calc.GridStep() / 2; math.Abs(wait-sparse) > slack {
+	if slack := 3 * f.model.Lattices().Step / 2; math.Abs(wait-sparse) > slack {
 		t.Fatalf("grid free-time mean %v, sparse %v: beyond quantization slack %v", wait, sparse, slack)
 	}
 	// Other cores still empty.

@@ -345,7 +345,7 @@ type Engine struct {
 	// buffers Queue() reuses (snapshots are decision-scoped, and the event
 	// loop is single-goroutine).
 	arena  *sched.Arena
-	qbuf   [][]robustness.QueuedTask
+	qbuf   sched.QueueSnapshots
 	runGen []int
 	down   []bool
 	alive  []bool // per node, false after a permanent failure
@@ -612,7 +612,7 @@ func Prepare(cfg Config) (*Engine, error) {
 	e.queues = make([][]queued, len(e.cores))
 	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.cores))
 	e.arena = sched.NewArena()
-	e.qbuf = make([][]robustness.QueuedTask, len(e.cores))
+	e.qbuf = sched.NewQueueSnapshots(len(e.cores))
 	e.runGen = make([]int, len(e.cores))
 	e.down = make([]bool, len(e.cores))
 	e.repairAt = make([]float64, len(e.cores))
@@ -1408,6 +1408,9 @@ func (e *Engine) admitPipeline(now float64, task workload.Task, maxEnergy *float
 	if chosen == nil {
 		d = e.shed(now, task, ShedFiltered, wait)
 	} else {
+		// The candidate's lazily computed scores read the pre-enqueue
+		// queue snapshot, so take the ETA before placing the task.
+		eta := chosen.ECT()
 		e.place(now, task, chosen, 0)
 		e.st.mapped.Add(1)
 		e.met.mapped.Inc()
@@ -1420,7 +1423,7 @@ func (e *Engine) admitPipeline(now float64, task workload.Task, maxEnergy *float
 				Node:   chosen.Core.Node,
 				Core:   chosen.Core.String(),
 				PState: chosen.PState.String(),
-				ETA:    chosen.ECT(),
+				ETA:    eta,
 			},
 			QueueWait: wait,
 		}

@@ -29,10 +29,7 @@ func (e *Engine) Queue(idx int) robustness.CoreQueue {
 	if len(q) == 0 {
 		return out
 	}
-	if cap(e.qbuf[idx]) < len(q) {
-		e.qbuf[idx] = make([]robustness.QueuedTask, len(q))
-	}
-	out.Tasks = e.qbuf[idx][:len(q)]
+	out.Tasks = e.qbuf.Take(idx, len(q))
 	for i, t := range q {
 		out.Tasks[i] = robustness.QueuedTask{
 			Type:     t.task.Type,

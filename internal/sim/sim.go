@@ -331,10 +331,10 @@ type engine struct {
 
 	// Per-decision scratch: the scheduler arena and per-core queue-snapshot
 	// buffers Queue() reuses. Safe because snapshots are decision-scoped —
-	// every consumer (candidate shares, the free-time engine's seen-queue
-	// record) is overwritten before the next decision reads them.
+	// their only consumers, the candidate shares, are overwritten before
+	// the next decision reads them.
 	arena *sched.Arena
-	qbuf  [][]robustness.QueuedTask
+	qbuf  sched.QueueSnapshots
 
 	energyLeft    float64 // heuristic estimate ζ(t_l)
 	inSystem      int     // mapped, not yet completed
@@ -389,10 +389,7 @@ func (e *engine) Queue(idx int) robustness.CoreQueue {
 	if len(q) == 0 {
 		return cq
 	}
-	if cap(e.qbuf[idx]) < len(q) {
-		e.qbuf[idx] = make([]robustness.QueuedTask, len(q))
-	}
-	cq.Tasks = e.qbuf[idx][:len(q)]
+	cq.Tasks = e.qbuf.Take(idx, len(q))
 	for i, t := range q {
 		cq.Tasks[i] = robustness.QueuedTask{
 			Type:     t.task.Type,
@@ -505,7 +502,7 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 	}
 	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.queues))
 	e.arena = sched.NewArena()
-	e.qbuf = make([][]robustness.QueuedTask, len(e.queues))
+	e.qbuf = sched.NewQueueSnapshots(len(e.queues))
 	if eo, ok := cfg.Observer.(EnergyObserver); ok {
 		e.eobs = eo
 	}

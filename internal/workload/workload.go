@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/cvb"
@@ -161,6 +162,10 @@ type Model struct {
 	fastRate, slowRate float64
 	// classOf[type] indexes Params.Classes (nil without classes).
 	classOf []int
+
+	// lat is the lattice form of table, built once by Lattices.
+	latOnce sync.Once
+	lat     *Lattices
 }
 
 // BuildModel constructs the fixed workload model: a CVB ETC matrix gives

@@ -74,6 +74,13 @@ go test ./...
 # cache shared across goroutines can never slip in unnoticed.
 echo "== tier 1: go test -race (free-time cache parity)"
 gotest -race -run 'FreeTimeEngineGrid|GridRhoParity|GridEngineCounters' ./internal/robustness
+# The lean decision path answers less than ρ in full — a threshold verdict
+# that stops early, an idle-core binary search, LL's zero-load stop — and
+# must pick exactly what the full-ρ path picks: the kernel properties,
+# then all 16 figure variants at paper scale against a full-ρ reference.
+echo "== tier 1: go test -race (lean ρ path exactness)"
+gotest -race -run 'ConvCDFAtLeastMatchesConvCDF|PointConvCDFMatchesTripleConvCDF' ./internal/pmf
+gotest -race -run 'LeanRhoPathMatchesFullRho' ./internal/sim
 # Static analysis and vulnerability scanning run when the tools are on
 # PATH; the container image doesn't ship them and nothing may be
 # installed here, so absence is a skip, not a failure.
@@ -107,10 +114,11 @@ if [ "$tier" -ge 2 ]; then
     FREETIME_PROP_STEPS=10000 gotest -run FreeTimeEngineGridMatchesNaive -count=1 ./internal/robustness
     # Grid quantization contract, race-enabled with a raised trial budget:
     # random operand chains must keep the lattice CDF inside the exact
-    # chain's q·step/2 bracket, and the cached grid engine must stay
-    # bit-identical to naive grid recomputation under long mutation runs.
+    # chain's q·step/2 bracket, the threshold kernel must keep ConvCDF's
+    # verdict, and the cached grid engine must stay bit-identical to naive
+    # grid recomputation under long mutation runs.
     echo "== tier 2: go test -race (grid-vs-exact parity, 2k trials)"
-    GRID_PROP_STEPS=2000 gotest -race -run GridConvolveMatchesExact -count=1 ./internal/pmf
+    GRID_PROP_STEPS=2000 gotest -race -run 'GridConvolveMatchesExact|ConvCDFAtLeastMatchesConvCDF' -count=1 ./internal/pmf
     FREETIME_PROP_STEPS=2000 gotest -race -run 'FreeTimeEngineGrid|GridRhoParity' -count=1 ./internal/robustness
     # Resume equivalence: interrupted sweeps replayed from the journal must
     # be bit-identical to uninterrupted runs, on every pass.
