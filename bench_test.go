@@ -79,18 +79,22 @@ func BenchmarkAblationPriority(b *testing.B) {
 
 // BenchmarkAblationLLTieBreak quantifies the design decision documented in
 // sched.LightestLoad: the paper-faithful first-candidate tie-break versus
-// the min-EEC repair (GreenLL), which finishes far more of the window.
+// the min-EEC repair (GreenLL), which finishes far more of the window. Both
+// arms run through RunConfigured with a no-op mutation, which bypasses the
+// Env's variant memo: RunVariant would answer every iteration after the
+// first from the cache and time a map lookup.
 func BenchmarkAblationLLTieBreak(b *testing.B) {
 	env := sharedEnv(b)
+	noMut := func(*sim.Config) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var paper, green float64
 	for i := 0; i < b.N; i++ {
-		p, err := env.RunVariant(sched.LightestLoad{}, sched.NoFilter)
+		p, err := env.RunConfigured(&sched.Mapper{Heuristic: sched.LightestLoad{}}, "none", noMut)
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, err := env.RunVariant(sched.GreenLightestLoad{}, sched.NoFilter)
+		g, err := env.RunConfigured(&sched.Mapper{Heuristic: sched.GreenLightestLoad{}}, "none", noMut)
 		if err != nil {
 			b.Fatal(err)
 		}

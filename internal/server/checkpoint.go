@@ -220,34 +220,35 @@ func (e *Engine) snapshotCheckpoint(cut, rejects uint64, tnRejects map[string]ui
 		Decided:       e.decided,
 		NextID:        e.nextID,
 		ReqSeq:        e.reqSeq,
-		Down:          append([]bool(nil), e.down...),
 		RepairAt:      append([]float64(nil), e.repairAt...),
-		Alive:         append([]bool(nil), e.alive...),
 		Halted:        e.halted.Load(),
 		NextTransient: e.nextTransient,
 		NextPermanent: e.nextPermanent,
 		ScriptFired:   append([]bool(nil), e.scriptFired...),
 		RandDecisions: hexState(e.rand.State()),
-		RandTransient: hexState(e.transientRng.State()),
-		RandPermanent: hexState(e.permanentRng.State()),
-		RandTarget:    hexState(e.targetRng.State()),
+		RandTransient: hexState(e.faultRn.Transient.State()),
+		RandPermanent: hexState(e.faultRn.Permanent.State()),
+		RandTarget:    hexState(e.faultRn.Target.State()),
 		RandQuant:     hexState(e.quantRn.State()),
 	}
 	for i := range ck.Counters.ShedByReason {
 		ck.Counters.ShedByReason[i] = e.st.shedByRsn[i].Load()
 	}
-	ck.Queues = make([][]ckptQueued, len(e.queues))
-	for idx, q := range e.queues {
-		if len(q) == 0 {
-			continue
+	n := e.k.NumCores()
+	ck.Queues = make([][]ckptQueued, n)
+	ck.Down = make([]bool, n)
+	for idx := range ck.Queues {
+		ck.Down[idx] = e.k.Down(idx)
+		for _, ent := range e.k.Tasks(idx) {
+			ck.Queues[idx] = append(ck.Queues[idx], ckptQueued{
+				Task: toCkptTask(ent.Task), PS: int(ent.PState), Act: ent.Actual,
+				Att: ent.Attempts, Started: ent.Started, StartAt: ent.StartAt,
+			})
 		}
-		ck.Queues[idx] = make([]ckptQueued, len(q))
-		for i, ent := range q {
-			ck.Queues[idx][i] = ckptQueued{
-				Task: toCkptTask(ent.task), PS: int(ent.pstate), Act: ent.actual,
-				Att: ent.attempts, Started: ent.started, StartAt: ent.startAt,
-			}
-		}
+	}
+	ck.Alive = make([]bool, e.model.Cluster.N())
+	for node := range ck.Alive {
+		ck.Alive[node] = !e.k.NodeDead(node)
 	}
 	for slot, r := range e.requeues {
 		ck.Requeues = append(ck.Requeues, ckptRequeue{

@@ -17,7 +17,6 @@
 package server
 
 import (
-	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
@@ -252,57 +251,6 @@ type pending struct {
 	probe  bool          // this request is a half-open quarantine probe
 }
 
-// queued is one task occupying a core.
-type queued struct {
-	task     workload.Task
-	pstate   cluster.PState
-	actual   float64
-	attempts int // fault requeue attempts consumed
-	started  bool
-	startAt  float64
-}
-
-// Event kinds, in tie-break priority order at equal virtual times
-// (completions free cores before the failure strikes; repairs land after
-// the fault that caused them; requeues re-enter the mapper last).
-const (
-	evCompletion = iota
-	evFault
-	evRepair
-	evRequeue
-)
-
-// Fault event sources (event.idx for evFault).
-const (
-	srcTransient = iota
-	srcPermanent
-	srcScript // srcScript+n is scripted entry n
-)
-
-type event struct {
-	time float64
-	kind int
-	idx  int // core for completions/repairs, source for faults, slot for requeues
-	gen  int // run generation; stale completions are ignored
-	seq  int
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 // requeueEntry is a fault-stranded task waiting for its retry dispatch.
 type requeueEntry struct {
 	task     workload.Task
@@ -325,35 +273,22 @@ type Engine struct {
 	clock Clock
 	model *workload.Model
 	calc  *robustness.Calculator
-	ftc   *robustness.FreeTimeEngine
 	meter *energy.Meter
-	bro   *energy.Brownout
-	brk   *breakers
-	rand  *randx.Stream
-	// Independent fault-process streams, mirroring internal/sim's layout so
-	// adding draws to one process never perturbs another.
-	transientRng *randx.Stream
-	permanentRng *randx.Stream
-	targetRng    *randx.Stream
-	quantRn      *randx.Stream
+	// k is the event kernel shared with internal/sim: core queues, event
+	// heap, fault fencing and brownout measures.
+	k    *sim.Kernel
+	brk  *breakers
+	rand *randx.Stream
+	// The fault-process streams (the kernel draws from them; WAL records
+	// and checkpoints carry their states), derived from the seed's
+	// "faults" child — a layout of the server's own, not the simulator's.
+	faultRn sim.FaultStreams
+	quantRn *randx.Stream
 
 	tenants *tenancy
 
-	cores  []cluster.CoreID
-	queues [][]queued
-	// Per-decision scratch: the scheduler arena and per-core queue-snapshot
-	// buffers Queue() reuses (snapshots are decision-scoped, and the event
-	// loop is single-goroutine).
-	arena  *sched.Arena
-	qbuf   sched.QueueSnapshots
-	runGen []int
-	down   []bool
-	alive  []bool // per node, false after a permanent failure
 	minEET []float64
 
-	events   eventHeap
-	seq      int
-	inSystem int
 	nextID   int
 	requeues map[int]requeueEntry
 	reqSeq   int
@@ -514,12 +449,6 @@ func Prepare(cfg Config) (*Engine, error) {
 	if cfg.Mapper == nil || cfg.Mapper.Heuristic == nil {
 		return nil, errors.New("server: Config.Mapper is nil or has no heuristic")
 	}
-	if cfg.IdlePState == 0 {
-		cfg.IdlePState = cluster.P4
-	}
-	if !cfg.IdlePState.Valid() {
-		return nil, fmt.Errorf("server: invalid idle P-state %d", cfg.IdlePState)
-	}
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1000
 	}
@@ -547,81 +476,62 @@ func Prepare(cfg Config) (*Engine, error) {
 	if cfg.DrainGrace == 0 {
 		cfg.DrainGrace = 10 * time.Second
 	}
-	budget := cfg.Budget
-	if budget == 0 {
-		budget = math.Inf(1)
-	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("server: budget %v must be positive (use 0 or +Inf to disable)", budget)
-	}
-	if len(cfg.Brownout) > 0 {
-		if err := energy.ValidateBrownoutStages(cfg.Brownout); err != nil {
-			return nil, err
-		}
-		if math.IsInf(budget, 1) {
-			return nil, errors.New("server: brownout requires a finite energy budget")
-		}
-	}
 	if cfg.Tenants != nil {
 		if err := cfg.Tenants.validate(); err != nil {
 			return nil, err
 		}
 	}
-	faultsOn := cfg.Faults.Enabled()
-	if faultsOn {
-		if err := cfg.Faults.Validate(cfg.Model.Cluster.TotalCores(), cfg.Model.Cluster.N()); err != nil {
-			return nil, err
-		}
+	if cfg.Observer == nil {
+		cfg.Observer = sim.NopObserver{}
 	}
-	meter, err := energy.NewMeter(cfg.Model.Cluster, cfg.IdlePState, budget, false)
+	root := randx.NewStream(cfg.Seed)
+	calc := robustness.NewCalculator(cfg.Model)
+	faultRn := sim.NewFaultStreams(root.Child("faults"))
+	k, err := sim.NewKernel(sim.KernelConfig{
+		Model:        cfg.Model,
+		Calc:         calc,
+		Budget:       cfg.Budget,
+		IdlePState:   cfg.IdlePState,
+		Observer:     cfg.Observer,
+		Faults:       cfg.Faults,
+		FaultStreams: faultRn,
+		Brownout:     cfg.Brownout,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = NewRealClock(cfg.TimeScale)
 	}
-
-	root := randx.NewStream(cfg.Seed)
-	faultRn := root.Child("faults")
+	meter := k.Meter()
 	e := &Engine{
-		cfg:          cfg,
-		clock:        clock,
-		model:        cfg.Model,
-		calc:         robustness.NewCalculator(cfg.Model),
-		meter:        meter,
-		rand:         root.Child("decisions"),
-		transientRng: faultRn.Child("transient"),
-		permanentRng: faultRn.Child("permanent"),
-		targetRng:    faultRn.Child("target"),
-		quantRn:      root.Child("quantiles"),
-		cores:        cfg.Model.Cluster.Cores(),
-		requeues:     make(map[int]requeueEntry),
-		admit:        make(chan *pending, cfg.QueueCap),
-		drainCh:      make(chan chan error, 1),
-		syncCh:       make(chan chan struct{}),
-		ckptCh:       make(chan chan error),
-		budgetCh:     make(chan budgetReq),
-		killCh:       make(chan struct{}),
-		stopCh:       make(chan struct{}),
-		doneCh:       make(chan struct{}),
-		avail:        cfg.Faults.Availability(),
-		met:          newServerMetrics(cfg.Metrics),
-		started:      time.Now(),
+		cfg:      cfg,
+		clock:    clock,
+		model:    cfg.Model,
+		calc:     calc,
+		meter:    meter,
+		k:        k,
+		rand:     root.Child("decisions"),
+		faultRn:  faultRn,
+		quantRn:  root.Child("quantiles"),
+		requeues: make(map[int]requeueEntry),
+		admit:    make(chan *pending, cfg.QueueCap),
+		drainCh:  make(chan chan error, 1),
+		syncCh:   make(chan chan struct{}),
+		ckptCh:   make(chan chan error),
+		budgetCh: make(chan budgetReq),
+		killCh:   make(chan struct{}),
+		stopCh:   make(chan struct{}),
+		doneCh:   make(chan struct{}),
+		avail:    cfg.Faults.Availability(),
+		met:      newServerMetrics(cfg.Metrics),
+		started:  time.Now(),
 	}
-	e.queues = make([][]queued, len(e.cores))
-	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.cores))
-	e.arena = sched.NewArena()
-	e.qbuf = sched.NewQueueSnapshots(len(e.cores))
-	e.runGen = make([]int, len(e.cores))
-	e.down = make([]bool, len(e.cores))
-	e.repairAt = make([]float64, len(e.cores))
+	e.repairAt = make([]float64, cfg.Model.Cluster.TotalCores())
 	e.scriptFired = make([]bool, len(cfg.Faults.Script))
-	e.alive = make([]bool, cfg.Model.Cluster.N())
-	for i := range e.alive {
-		e.alive[i] = true
-	}
 	e.minEET = bestCaseEET(cfg.Model)
+	budget := meter.Budget()
 	e.budgetBits.Store(math.Float64bits(budget))
 	e.tenants = newTenancy(cfg.Tenants, cfg.QueueCap, cfg.Model.TAvg(), cfg.Metrics)
 	e.idleWindow = math.Inf(1)
@@ -630,31 +540,19 @@ func Prepare(cfg Config) (*Engine, error) {
 	}
 	if cfg.Metrics != nil {
 		e.counters = sched.NewCounters(cfg.Metrics, cfg.Mapper.Filters)
-		e.counters.InstrumentFreeTimes(e.ftc)
+		e.counters.InstrumentFreeTimes(e.k.FreeTimes())
 		e.meter.Instrument(
 			cfg.Metrics.Counter("energy_meter_advances_total"),
 			cfg.Metrics.Counter("energy_pstate_transitions_total"),
 			cfg.Metrics.Gauge("energy_meter_consumed"))
 	}
-	if len(cfg.Brownout) > 0 {
-		e.bro, _ = energy.NewBrownout(cfg.Brownout)
-	}
-	if faultsOn {
+	if cfg.Faults.Enabled() {
 		e.brk = newBreakers(cfg.Breaker, cfg.Model.Cluster.N(), cfg.Faults.RepairTime, cfg.Model.TAvg())
 		e.needSchedule = true
 	}
-	if cfg.Observer == nil {
-		e.cfg.Observer = sim.NopObserver{}
-	}
-	if so, ok := e.cfg.Observer.(shedObserver); ok {
-		e.shedObs = so
-	}
-	if fo, ok := e.cfg.Observer.(sim.FaultObserver); ok {
-		e.fobs = fo
-	}
-	if do, ok := e.cfg.Observer.(sim.DecisionObserver); ok {
-		e.dobs = do
-	}
+	e.shedObs, _ = cfg.Observer.(shedObserver)
+	e.fobs, _ = cfg.Observer.(sim.FaultObserver)
+	e.dobs, _ = cfg.Observer.(sim.DecisionObserver)
 	e.recovering.Store(true)
 	return e, nil
 }
@@ -886,21 +784,44 @@ func (e *Engine) Submit(req TaskRequest) (Decision, error) {
 		ts.admittedC.Inc()
 	}
 	e.met.queueHigh.Observe(float64(len(e.admit)))
-	d := <-p.resp
+	var d Decision
+	select {
+	case d = <-p.resp:
+	case <-e.doneCh:
+		// The engine stopped (drain, close or fail-stop) after this request
+		// passed the checks above but before its enqueue was swept: nothing
+		// will decide it. Answer it like a fail-stop's queued request.
+		select {
+		case d = <-p.resp:
+		default:
+			d = Decision{Status: statusShardKilled}
+			if ts != nil {
+				ts.release()
+				if probe {
+					ts.probing.Store(false)
+				}
+			}
+		}
+	}
 	if d.Status == statusShardKilled {
-		// The shard fail-stopped with this request still queued-undecided.
+		// The engine stopped with this request still queued-undecided.
 		// Nothing durable claims the task (admit records are written at
 		// decision time), so unwind the admission accounting and surface a
-		// retryable rejection — the router re-routes it to a survivor.
+		// retryable rejection — after a fail-stop the router re-routes it
+		// to a survivor.
+		rej, met := &ErrRejected{Reason: RejectShardDown, RetryAfter: time.Second}, e.met.rejectedShardDown
+		if !e.killed.Load() {
+			rej, met = &ErrRejected{Reason: RejectDraining}, e.met.rejectedDraining
+		}
 		e.st.admitted.Add(-1)
 		e.st.rejected.Add(1)
-		e.met.rejectedShardDown.Inc()
+		met.Inc()
 		if ts != nil {
 			ts.admitted.Add(-1)
 			ts.rejected.Add(1)
 			ts.rejectedC.Inc()
 		}
-		return Decision{}, &ErrRejected{Reason: RejectShardDown, RetryAfter: time.Second}
+		return Decision{}, rej
 	}
 	return d, nil
 }
@@ -999,23 +920,8 @@ func (e *Engine) Kill() {
 // failStop is Kill's engine-goroutine half: the orderly fail-stop.
 func (e *Engine) failStop() {
 	at := math.Float64frombits(e.virtualAt.Load())
-	n := 0
-	for idx := range e.queues {
-		for _, q := range e.queues[idx] {
-			e.fail(q.task, FailShardKilled)
-			n++
-		}
-		e.queues[idx] = nil
-		e.ftc.Invalidate(idx)
-	}
-	for _, r := range e.requeues {
-		e.fail(r.task, FailShardKilled)
-		n++
-	}
-	e.requeues = make(map[int]requeueEntry)
-	e.inSystem = 0
-	e.updInflight()
-	e.events = nil
+	n := e.failInFlight(FailShardKilled)
+	e.k.ResetEvents()
 	if n > 0 {
 		// One atomic record for the wholesale clear, like halt and the
 		// drain flush: replay fails N tasks in a single step.
@@ -1069,8 +975,8 @@ func (e *Engine) loop() {
 		e.commit()
 		e.maybeCheckpoint()
 		var timer <-chan struct{}
-		if len(e.events) > 0 {
-			timer = e.clock.WaitUntil(e.events[0].time)
+		if e.HasPendingEvents() {
+			timer = e.clock.WaitUntil(e.PeekNextEventTime())
 		}
 		select {
 		case p := <-e.admit:
@@ -1194,17 +1100,12 @@ func (e *Engine) CheckpointNow() error {
 // Engine-goroutine only while the loop runs; the multi-shard orchestrator
 // calls it on stopped (recovered, loop-less) engines to find the shard with
 // the earliest event.
-func (e *Engine) HasPendingEvents() bool { return len(e.events) > 0 }
+func (e *Engine) HasPendingEvents() bool { return e.k.Pending() > 0 }
 
 // PeekNextEventTime returns the virtual time of the earliest pending event,
 // or +Inf when the heap is empty. Same confinement rules as
 // HasPendingEvents.
-func (e *Engine) PeekNextEventTime() float64 {
-	if len(e.events) == 0 {
-		return math.Inf(1)
-	}
-	return e.events[0].time
-}
+func (e *Engine) PeekNextEventTime() float64 { return e.k.NextTime() }
 
 // ProcessNextEvent pops and handles exactly one event — the unit step the
 // engine loop, the drain fast-forward, and the shared-clock multi-shard
@@ -1212,8 +1113,8 @@ func (e *Engine) PeekNextEventTime() float64 {
 // consumed without effect (no new failures strike work that is being
 // flushed). Must not be called on an empty heap.
 func (e *Engine) ProcessNextEvent() {
-	ev := heap.Pop(&e.events).(event)
-	if ev.kind == evFault && e.draining.Load() {
+	ev := e.k.Pop()
+	if ev.Kind == sim.EvFault && e.draining.Load() {
 		return
 	}
 	e.handle(ev)
@@ -1259,20 +1160,24 @@ func (e *Engine) advance(t float64) {
 // consumed/budget ratio — on every meter advance, and after a budget
 // adjustment moves the denominator.
 func (e *Engine) updateBrownout(at float64) {
-	if e.bro == nil || math.IsInf(e.meter.Budget(), 1) {
+	if math.IsInf(e.meter.Budget(), 1) {
 		return
 	}
-	stage, changed := e.bro.Update(e.meter.Consumed() / e.meter.Budget())
-	if changed {
-		e.stage.Store(int32(stage))
-		e.met.stage.Set(float64(stage))
-		cur := e.bro.Current()
-		e.shedGate.Store(cur != nil && cur.ShedAdmission)
-		e.walAppend(&walRecord{K: wkBrownout, T: at, Stage: stage, Gate: cur != nil && cur.ShedAdmission})
-		if bo, ok := e.cfg.Observer.(sim.BrownoutObserver); ok {
-			bo.BrownoutStageChanged(at, stage, e.meter.Consumed()/e.meter.Budget())
-		}
+	if stage, changed := e.k.UpdateBrownout(at); changed {
+		gate := e.publishStage(stage)
+		e.walAppend(&walRecord{K: wkBrownout, T: at, Stage: stage, Gate: gate})
 	}
+}
+
+// publishStage mirrors the brownout stage into the handler-visible state
+// and returns whether it closes the admission gate.
+func (e *Engine) publishStage(stage int) bool {
+	cur := e.k.Stage()
+	gate := cur != nil && cur.ShedAdmission
+	e.stage.Store(int32(stage))
+	e.met.stage.Set(float64(stage))
+	e.shedGate.Store(gate)
+	return gate
 }
 
 // halt is the hard stop at ζ_max: every in-flight task fails, the event
@@ -1280,23 +1185,8 @@ func (e *Engine) updateBrownout(at float64) {
 func (e *Engine) halt(at float64) {
 	e.halted.Store(true)
 	e.cfg.Observer.EnergyExhausted(at)
-	failed := 0
-	for idx := range e.queues {
-		for _, q := range e.queues[idx] {
-			e.fail(q.task, FailHalted)
-			failed++
-		}
-		e.queues[idx] = nil
-		e.ftc.Invalidate(idx)
-	}
-	for _, r := range e.requeues {
-		e.fail(r.task, FailHalted)
-		failed++
-	}
-	e.requeues = make(map[int]requeueEntry)
-	e.inSystem = 0
-	e.updInflight()
-	e.events = nil
+	failed := e.failInFlight(FailHalted)
+	e.k.ResetEvents()
 	// One atomic record for the wholesale clear: replay fails N tasks and
 	// empties every structure in a single step, so a torn tail can never
 	// leave the counters half-applied.
@@ -1305,7 +1195,27 @@ func (e *Engine) halt(at float64) {
 
 // pendingWork counts tasks mapped but not yet terminal: occupying core
 // queues or stranded awaiting a fault retry.
-func (e *Engine) pendingWork() int { return e.inSystem + len(e.requeues) }
+func (e *Engine) pendingWork() int { return e.k.InSystem() + len(e.requeues) }
+
+// failInFlight fails every task mapped but not yet terminal — queued,
+// running, or awaiting a fault retry — for reason, and returns how many.
+func (e *Engine) failInFlight(reason string) int {
+	n := 0
+	for idx := 0; idx < e.k.NumCores(); idx++ {
+		for _, q := range e.k.Tasks(idx) {
+			e.fail(q.Task, reason)
+			n++
+		}
+		e.k.SetTasks(idx, nil)
+	}
+	for _, r := range e.requeues {
+		e.fail(r.task, reason)
+		n++
+	}
+	e.requeues = make(map[int]requeueEntry)
+	e.updInflight()
+	return n
+}
 
 // updInflight republishes the in-flight count after any change.
 func (e *Engine) updInflight() {
@@ -1315,29 +1225,23 @@ func (e *Engine) updInflight() {
 }
 
 // handle dispatches one due event.
-func (e *Engine) handle(ev event) {
-	e.advance(ev.time)
+func (e *Engine) handle(ev sim.Event) {
+	e.advance(ev.Time)
 	if e.halted.Load() {
 		return
 	}
-	switch ev.kind {
-	case evCompletion:
-		if ev.gen == e.runGen[ev.idx] {
-			e.complete(ev.time, ev.idx)
+	switch ev.Kind {
+	case sim.EvCompletion:
+		if e.k.Current(ev) {
+			e.complete(ev.Time, ev.Idx)
 		}
-	case evFault:
-		e.handleFault(ev.time, ev.idx)
-	case evRepair:
-		e.handleRepair(ev.time, ev.idx)
-	case evRequeue:
-		e.handleRequeue(ev.time, ev.idx)
+	case sim.EvFault:
+		e.handleFault(ev.Time, ev.Idx)
+	case sim.EvRepair:
+		e.handleRepair(ev.Time, ev.Idx)
+	case sim.EvRequeue:
+		e.handleRequeue(ev.Time, ev.Idx)
 	}
-}
-
-func (e *Engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	heap.Push(&e.events, ev)
 }
 
 // decide runs one admitted request through the decision stages. The admit
@@ -1386,7 +1290,7 @@ func (e *Engine) admitPipeline(now float64, task workload.Task, maxEnergy *float
 		return Decision{Status: StatusTimedOut, TaskID: task.ID, Arrival: task.Arrival,
 			Deadline: task.Deadline, QueueWait: wait}
 	}
-	if cur := e.currentStage(); cur != nil && cur.ShedAdmission {
+	if cur := e.k.Stage(); cur != nil && cur.ShedAdmission {
 		return e.shed(now, task, ShedBrownout, wait)
 	}
 	// Weighted shedding: deeper brownout stages drop lower SLO classes
@@ -1466,14 +1370,6 @@ func (e *Engine) buildTask(now float64, req TaskRequest) workload.Task {
 		Priority: priority, Tenant: req.Tenant, Class: cls}
 }
 
-// currentStage returns the active brownout stage's measures (nil nominal).
-func (e *Engine) currentStage() *energy.BrownoutStage {
-	if e.bro == nil {
-		return nil
-	}
-	return e.bro.Current()
-}
-
 // shed records one shed decision.
 func (e *Engine) shed(now float64, task workload.Task, reason string, wait time.Duration) Decision {
 	e.st.shed.Add(1)
@@ -1501,28 +1397,21 @@ func (e *Engine) mapTask(now float64, task workload.Task, maxEnergy *float64) *s
 		Calc:          e.calc,
 		EnergyLeft:    e.meter.Remaining(),
 		TasksLeft:     e.cfg.Horizon,
-		AvgQueueDepth: float64(e.inSystem) / float64(len(e.cores)),
+		AvgQueueDepth: float64(e.k.InSystem()) / float64(e.k.NumCores()),
 		Rand:          e.rand,
 		Counters:      e.counters,
-		FreeTimes:     e.ftc,
-		Arena:         e.arena,
 		CoreUp:        e.coreUp(now),
 	}
+	e.k.Decorate(ctx)
 	if e.brk != nil {
 		ctx.Availability = func(coreIdx int) float64 {
-			if e.down[coreIdx] {
+			if e.k.Down(coreIdx) {
 				return 0
 			}
 			return e.avail
 		}
 	}
-	if cur := e.currentStage(); cur != nil {
-		ctx.PStateFloor = cur.PStateFloor
-		if cur.ZetaMul > 0 {
-			ctx.ZetaMulOverride = cur.ZetaMul
-		}
-	}
-	cands := sched.BuildCandidates(ctx, e)
+	cands := sched.BuildCandidates(ctx, e.k)
 	if len(cands) == 0 {
 		return nil
 	}
@@ -1539,10 +1428,10 @@ func (e *Engine) mapTask(now float64, task workload.Task, maxEnergy *float64) *s
 // is physically up and its node's circuit breaker admits traffic.
 func (e *Engine) coreUp(now float64) func(int) bool {
 	return func(idx int) bool {
-		if e.down[idx] {
+		if e.k.Down(idx) {
 			return false
 		}
-		if e.brk != nil && !e.brk.allows(e.cores[idx].Node, now) {
+		if e.brk != nil && !e.brk.allows(e.k.CoreID(idx).Node, now) {
 			return false
 		}
 		return true
@@ -1560,58 +1449,27 @@ func (e *Engine) place(now float64, task workload.Task, chosen *sched.Candidate,
 	actual := e.model.ActualExecTime(task, chosen.Core.Node, chosen.PState)
 	idx := chosen.CoreIdx
 	e.walMap(now, task, idx, chosen.PState, actual, attempts)
-	e.queues[idx] = append(e.queues[idx], queued{task: task, pstate: chosen.PState, actual: actual, attempts: attempts})
-	e.ftc.OnEnqueue(idx, chosen.Core.Node, task.Type, chosen.PState, len(e.queues[idx]))
-	e.inSystem++
-	e.st.assigned.Add(1)
-	e.updInflight()
 	if e.brk != nil {
 		e.brk.onMapped(chosen.Core.Node)
 	}
-	e.cfg.Observer.TaskMapped(now, task, chosen.Assignment)
-	if len(e.queues[idx]) == 1 {
+	e.st.assigned.Add(1)
+	idle := e.k.Enqueue(now, chosen.Assignment, sim.Queued{Task: task, PState: chosen.PState, Actual: actual, Attempts: attempts})
+	e.updInflight()
+	if idle {
 		e.start(now, idx)
 	}
 }
 
 // start begins executing the head of a core's queue.
 func (e *Engine) start(now float64, coreIdx int) {
-	e.ftc.Invalidate(coreIdx) // the head gains Started/StartAt
-	head := &e.queues[coreIdx][0]
-	e.setPState(now, coreIdx, head.pstate)
-	head.started = true
-	head.startAt = now
-	e.walAppend(&walRecord{K: wkStart, T: now, ID: head.task.ID, Core: coreIdx, PS: int(head.pstate)})
-	e.cfg.Observer.TaskStarted(now, head.task, e.assignment(coreIdx, head.pstate))
-	e.push(event{time: now + head.actual, kind: evCompletion, idx: coreIdx, gen: e.runGen[coreIdx]})
-}
-
-// setPState transitions a core through the meter, clearing any down-state
-// power override, and notifies the observer of real transitions.
-func (e *Engine) setPState(now float64, coreIdx int, ps cluster.PState) {
-	changed := e.meter.PStateOf(coreIdx) != ps
-	if !changed && !e.meter.Overridden(coreIdx) {
-		return
-	}
-	e.meter.SetPState(coreIdx, ps)
-	if changed {
-		e.cfg.Observer.PStateChanged(now, e.cores[coreIdx], ps)
-	}
-}
-
-func (e *Engine) assignment(coreIdx int, ps cluster.PState) sched.Assignment {
-	return sched.Assignment{Core: e.cores[coreIdx], CoreIdx: coreIdx, PState: ps}
+	head := e.k.Start(now, coreIdx, 0)
+	e.walAppend(&walRecord{K: wkStart, T: now, ID: head.Task.ID, Core: coreIdx, PS: int(head.PState)})
 }
 
 // complete retires the head of a core's queue.
 func (e *Engine) complete(now float64, coreIdx int) {
-	q := e.queues[coreIdx]
-	head := q[0]
-	e.queues[coreIdx] = q[1:]
-	e.ftc.Invalidate(coreIdx)
-	e.inSystem--
+	head, onTime := e.k.Retire(now, coreIdx)
 	e.updInflight()
-	onTime := now <= head.task.Deadline
 	if onTime {
 		e.st.onTime.Add(1)
 		e.met.completedOn.Inc()
@@ -1619,18 +1477,17 @@ func (e *Engine) complete(now float64, coreIdx int) {
 		e.st.late.Add(1)
 		e.met.completedLate.Inc()
 	}
-	e.tenantCompleted(head.task, onTime)
-	e.walAppend(&walRecord{K: wkFinish, T: now, ID: head.task.ID, Core: coreIdx, OK: onTime})
+	e.tenantCompleted(head.Task, onTime)
+	e.walAppend(&walRecord{K: wkFinish, T: now, ID: head.Task.ID, Core: coreIdx, OK: onTime})
 	if e.brk != nil {
 		snap := e.brkSnap()
-		e.brk.onSuccess(e.cores[coreIdx].Node)
+		e.brk.onSuccess(e.k.CoreID(coreIdx).Node)
 		e.walBreakerDiff(now, snap)
 	}
-	e.cfg.Observer.TaskFinished(now, head.task, e.assignment(coreIdx, head.pstate), onTime)
-	if len(e.queues[coreIdx]) > 0 {
+	if len(e.k.Tasks(coreIdx)) > 0 {
 		e.start(now, coreIdx)
 	} else {
-		e.setPState(now, coreIdx, e.cfg.IdlePState)
+		e.k.Idle(now, coreIdx)
 	}
 }
 
@@ -1705,20 +1562,8 @@ flush:
 func (e *Engine) drainFinish() error {
 	var err error
 	if n := e.pendingWork(); n > 0 && !e.halted.Load() {
-		for idx := range e.queues {
-			for _, q := range e.queues[idx] {
-				e.fail(q.task, FailDrainTimeout)
-			}
-			e.queues[idx] = nil
-			e.ftc.Invalidate(idx)
-		}
-		for _, r := range e.requeues {
-			e.fail(r.task, FailDrainTimeout)
-		}
-		e.requeues = make(map[int]requeueEntry)
+		e.failInFlight(FailDrainTimeout)
 		err = fmt.Errorf("server: drain grace %v expired with %d task(s) in flight (failed, not orphaned)", e.cfg.DrainGrace, n)
-		e.inSystem = 0
-		e.updInflight()
 		// Like halt: one atomic record for the wholesale clear.
 		e.walAppend(&walRecord{K: wkFlush, T: e.now(), Rsn: FailDrainTimeout, N: n})
 	}

@@ -1,63 +1,25 @@
 package server
 
-// Live fault injection for the serving engine, mirroring internal/sim's
-// mechanics: a failure kills whatever the stricken core is doing (the
-// energy is already spent), the run-generation counter invalidates its
-// pending completion event, and stranded tasks go through the recovery
-// policy. On top of the simulator's behavior the serving path feeds every
-// strike into the per-node circuit breakers, so mapping routes around
-// flapping nodes instead of rediscovering them the hard way.
+// Live fault injection for the serving engine. The shared event kernel
+// (sim.Kernel) owns the mechanics: a failure kills whatever the stricken
+// core is doing (the energy is already spent), the run-generation counter
+// invalidates its pending completion event, and stranded tasks go through
+// the recovery policy's backoff. On top of that the serving path logs
+// every step to the WAL, mirrors the fault schedule for checkpoints, and
+// feeds every strike into the per-node circuit breakers, so mapping routes
+// around flapping nodes instead of rediscovering them the hard way.
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/robustness"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// NumCores implements sched.SystemView.
-func (e *Engine) NumCores() int { return len(e.cores) }
-
-// CoreID implements sched.SystemView.
-func (e *Engine) CoreID(idx int) cluster.CoreID { return e.cores[idx] }
-
-// Queue implements sched.SystemView: a snapshot of the core's occupancy,
-// built into a reusable per-core buffer (snapshots are decision-scoped).
-func (e *Engine) Queue(idx int) robustness.CoreQueue {
-	q := e.queues[idx]
-	out := robustness.CoreQueue{Node: e.cores[idx].Node}
-	if len(q) == 0 {
-		return out
-	}
-	out.Tasks = e.qbuf.Take(idx, len(q))
-	for i, t := range q {
-		out.Tasks[i] = robustness.QueuedTask{
-			Type:     t.task.Type,
-			PState:   t.pstate,
-			Deadline: t.task.Deadline,
-			Started:  t.started,
-			StartAt:  t.startAt,
-		}
-	}
-	return out
-}
 
 // scheduleFaults seeds the event heap with the first firing of each
 // enabled stochastic process and every scripted entry, mirroring the
 // absolute firing times into the checkpointable schedule fields.
 func (e *Engine) scheduleFaults() {
-	spec := &e.cfg.Faults
-	if spec.Transient.Enabled {
-		e.nextTransient = spec.Transient.Sample(e.transientRng)
-		e.push(event{time: e.nextTransient, kind: evFault, idx: srcTransient})
-	}
-	if spec.Permanent.Enabled {
-		e.nextPermanent = spec.Permanent.Sample(e.permanentRng)
-		e.push(event{time: e.nextPermanent, kind: evFault, idx: srcPermanent})
-	}
-	for i, sf := range spec.Script {
-		e.push(event{time: sf.Time, kind: evFault, idx: srcScript + i})
-	}
+	e.nextTransient, e.nextPermanent = e.k.ScheduleFaults()
 }
 
 // handleFault fires one failure source at virtual time now: picks the
@@ -65,146 +27,74 @@ func (e *Engine) scheduleFaults() {
 // The closing fsched record carries the post-draw process stream states and
 // the absolute next firing, so replay reschedules without re-drawing.
 func (e *Engine) handleFault(now float64, src int) {
-	spec := &e.cfg.Faults
+	if s, ok := e.k.Target(src); ok {
+		e.injectFault(now, s)
+	}
+	next := e.k.Reschedule(now, src)
 	switch src {
-	case srcTransient:
-		if idx, ok := e.pickUpCore(); ok {
-			e.injectFault(now, fault.Transient, idx, -1, spec.RepairTime)
-		}
-		e.nextTransient = 0
-		if !e.allNodesDead() {
-			e.nextTransient = now + spec.Transient.Sample(e.transientRng)
-			e.push(event{time: e.nextTransient, kind: evFault, idx: srcTransient})
-		}
+	case sim.SrcTransient:
+		e.nextTransient = next
 		if e.walOn() {
-			e.walAppend(&walRecord{K: wkFsched, T: now, Src: "transient", NX: e.nextTransient,
-				TRS: hexState(e.transientRng.State()), TGS: hexState(e.targetRng.State())})
+			e.walAppend(&walRecord{K: wkFsched, T: now, Src: "transient", NX: next,
+				TRS: hexState(e.faultRn.Transient.State()), TGS: hexState(e.faultRn.Target.State())})
 		}
-	case srcPermanent:
-		if node, ok := e.pickAliveNode(); ok {
-			e.injectFault(now, fault.Permanent, -1, node, 0)
-		}
-		e.nextPermanent = 0
-		if !e.allNodesDead() {
-			e.nextPermanent = now + spec.Permanent.Sample(e.permanentRng)
-			e.push(event{time: e.nextPermanent, kind: evFault, idx: srcPermanent})
-		}
+	case sim.SrcPermanent:
+		e.nextPermanent = next
 		if e.walOn() {
-			e.walAppend(&walRecord{K: wkFsched, T: now, Src: "permanent", NX: e.nextPermanent,
-				PRS: hexState(e.permanentRng.State()), TGS: hexState(e.targetRng.State())})
+			e.walAppend(&walRecord{K: wkFsched, T: now, Src: "permanent", NX: next,
+				PRS: hexState(e.faultRn.Permanent.State()), TGS: hexState(e.faultRn.Target.State())})
 		}
 	default:
-		i := src - srcScript
-		sf := spec.Script[i]
-		if sf.Kind == fault.Permanent {
-			e.injectFault(now, fault.Permanent, -1, sf.Node, 0)
-		} else {
-			repair := sf.Repair
-			if repair <= 0 {
-				repair = spec.RepairTime
-			}
-			e.injectFault(now, fault.Transient, sf.Core, -1, repair)
-		}
+		i := src - sim.SrcScript
 		e.scriptFired[i] = true
 		e.walAppend(&walRecord{K: wkFsched, T: now, Src: "script", SI: i})
 	}
-}
-
-// pickUpCore selects a victim uniformly among up cores; no draw is
-// consumed when every core is already down.
-func (e *Engine) pickUpCore() (int, bool) {
-	up := 0
-	for _, d := range e.down {
-		if !d {
-			up++
-		}
-	}
-	if up == 0 {
-		return 0, false
-	}
-	n := e.targetRng.IntN(up)
-	for idx, d := range e.down {
-		if d {
-			continue
-		}
-		if n == 0 {
-			return idx, true
-		}
-		n--
-	}
-	return 0, false // unreachable
-}
-
-// pickAliveNode selects a victim uniformly among alive nodes.
-func (e *Engine) pickAliveNode() (int, bool) {
-	alive := 0
-	for _, d := range e.alive {
-		if d {
-			alive++
-		}
-	}
-	if alive == 0 {
-		return 0, false
-	}
-	n := e.targetRng.IntN(alive)
-	for node, up := range e.alive {
-		if !up {
-			continue
-		}
-		if n == 0 {
-			return node, true
-		}
-		n--
-	}
-	return 0, false // unreachable
-}
-
-func (e *Engine) allNodesDead() bool {
-	for _, up := range e.alive {
-		if up {
-			return false
-		}
-	}
-	return true
 }
 
 // injectFault applies one failure and feeds the circuit breaker. The fault
 // record goes to the WAL before any mutation — with the applied flag, the
 // absolute repair time, and the post-draw target stream state — so replay
 // applies the same strike to the same victim without re-drawing.
-func (e *Engine) injectFault(now float64, kind fault.Kind, coreIdx, node int, repair float64) {
+func (e *Engine) injectFault(now float64, s sim.Strike) {
 	e.st.faults.Add(1)
 	e.met.faults.Inc()
-	if kind == fault.Permanent {
-		applied := e.alive[node]
-		if e.walOn() {
-			e.walAppend(&walRecord{K: wkFault, T: now, Src: "permanent", Core: -1, Node: node,
-				AP: applied, TGS: hexState(e.targetRng.State())})
+	permanent := s.Kind == fault.Permanent
+	var node int
+	var src string
+	var applied bool
+	var rp float64
+	if permanent {
+		node, src, applied = s.Node, "permanent", !e.k.NodeDead(s.Node)
+	} else {
+		node, src, applied = e.k.CoreID(s.Core).Node, "transient", !e.k.Down(s.Core)
+		if applied {
+			rp = now + s.Repair
+			e.repairAt[s.Core] = rp
 		}
-		if !applied {
-			// A scripted strike on an already-dead node: counted, no effect.
-			return
-		}
-		e.alive[node] = false
-		e.tripBreaker(node, now, true)
-		for idx, id := range e.cores {
-			if id.Node == node {
-				e.downCore(now, kind, idx, 0)
-			}
-		}
-		return
-	}
-	applied := !e.down[coreIdx]
-	rp := 0.0
-	if applied {
-		rp = now + repair
 	}
 	if e.walOn() {
-		e.walAppend(&walRecord{K: wkFault, T: now, Src: "transient", Core: coreIdx,
-			Node: e.cores[coreIdx].Node, AP: applied, RP: rp, TGS: hexState(e.targetRng.State())})
+		e.walAppend(&walRecord{K: wkFault, T: now, Src: src, Core: s.Core, Node: node,
+			AP: applied, RP: rp, TGS: hexState(e.faultRn.Target.State())})
 	}
-	e.tripBreaker(e.cores[coreIdx].Node, now, false)
-	e.downCore(now, kind, coreIdx, repair)
+	if permanent && !applied {
+		// A scripted strike on an already-dead node: counted, no effect.
+		return
+	}
+	e.tripBreaker(node, now, permanent)
+	e.k.Strike(now, s, e.strand)
+}
+
+// strand hands one downed core's stranded tasks to recovery, logging each
+// kill first.
+func (e *Engine) strand(now float64, coreIdx int, q []sim.Queued) {
+	for i := range q {
+		if e.fobs != nil {
+			e.fobs.TaskKilled(now, q[i].Task, e.k.CoreID(coreIdx))
+		}
+		e.walAppend(&walRecord{K: wkKill, T: now, ID: q[i].Task.ID, Core: coreIdx, Att: q[i].Attempts})
+		e.recoverTask(now, q[i].Task, q[i].Attempts)
+	}
+	e.updInflight()
 }
 
 // tripBreaker records a strike, publishes any open transition, and logs the
@@ -223,58 +113,16 @@ func (e *Engine) tripBreaker(node int, now float64, permanent bool) {
 	e.walBreakerDiff(now, snap)
 }
 
-// downCore takes one core down: kills its queue, hands stranded tasks to
-// recovery, zeroes its draw, and (transient only) schedules the repair.
-func (e *Engine) downCore(now float64, kind fault.Kind, coreIdx int, repair float64) {
-	if e.down[coreIdx] {
-		return
-	}
-	e.down[coreIdx] = true
-	e.runGen[coreIdx]++ // pending completion (if any) is now stale
-	if e.fobs != nil {
-		e.fobs.CoreFailed(now, e.cores[coreIdx], kind, repair)
-	}
-	q := e.queues[coreIdx]
-	e.queues[coreIdx] = nil
-	e.ftc.Invalidate(coreIdx)
-	if len(q) > 0 {
-		e.inSystem -= len(q)
-		for i := range q {
-			if e.fobs != nil {
-				e.fobs.TaskKilled(now, q[i].task, e.cores[coreIdx])
-			}
-			e.walAppend(&walRecord{K: wkKill, T: now, ID: q[i].task.ID, Core: coreIdx, Att: q[i].attempts})
-			e.recoverTask(now, q[i].task, q[i].attempts)
-		}
-		e.updInflight()
-	}
-	e.meter.SetPower(coreIdx, 0)
-	if kind == fault.Transient {
-		e.repairAt[coreIdx] = now + repair
-		e.push(event{time: now + repair, kind: evRepair, idx: coreIdx})
-	}
-}
-
-// handleRepair brings a transiently-failed core back at the idle P-state.
+// handleRepair brings a transiently-failed core back at the idle P-state;
+// a repair whose node died permanently in the meantime is logged as not
+// applied.
 func (e *Engine) handleRepair(now float64, coreIdx int) {
-	if !e.down[coreIdx] {
-		return
-	}
-	if !e.alive[e.cores[coreIdx].Node] {
-		// The node died permanently while this core's repair was pending;
-		// the repair must not resurrect it.
-		e.repairAt[coreIdx] = 0
-		e.walAppend(&walRecord{K: wkRepair, T: now, Core: coreIdx, AP: false})
+	if !e.k.Down(coreIdx) {
 		return
 	}
 	e.repairAt[coreIdx] = 0
-	e.down[coreIdx] = false
-	e.meter.ClearPower(coreIdx)
-	e.setPState(now, coreIdx, e.cfg.IdlePState)
-	e.walAppend(&walRecord{K: wkRepair, T: now, Core: coreIdx, AP: true})
-	if e.fobs != nil {
-		e.fobs.CoreRepaired(now, e.cores[coreIdx])
-	}
+	up := e.k.Repair(now, coreIdx)
+	e.walAppend(&walRecord{K: wkRepair, T: now, Core: coreIdx, AP: up})
 }
 
 // recoverTask routes one stranded task through the recovery policy. used
@@ -282,30 +130,14 @@ func (e *Engine) handleRepair(now float64, coreIdx int) {
 // (now, task, used): no randomness is consumed, which is what lets recovery
 // re-run it for dangling kills whose disposition was lost to a torn tail.
 func (e *Engine) recoverTask(now float64, task workload.Task, used int) {
-	rec := e.cfg.Faults.Recovery
-	if rec.Mode != fault.Requeue || used >= rec.MaxRetries {
-		e.walFailRec(now, task.ID, FailFault)
-		e.fail(task, FailFault)
-		return
-	}
-	if rec.DeadlineAware && task.Deadline <= now {
-		// Already late: a retry can only burn energy on a missed deadline.
-		e.walFailRec(now, task.ID, FailFault)
-		e.fail(task, FailFault)
-		return
-	}
-	delay := rec.Backoff * float64(used+1)
-	if rec.DeadlineAware {
-		if slack := task.Deadline - now; delay > slack/2 {
-			delay = slack / 2
-		}
-	}
-	if e.fobs != nil {
-		e.fobs.TaskRequeued(now, task, used+1)
-	}
 	slot := e.reqSeq
+	fireAt, ok := e.k.Requeue(now, task, used, slot)
+	if !ok {
+		e.walFailRec(now, task.ID, FailFault)
+		e.fail(task, FailFault)
+		return
+	}
 	e.reqSeq++
-	fireAt := now + delay
 	e.requeues[slot] = requeueEntry{task: task, attempts: used + 1, fireAt: fireAt}
 	if e.walOn() {
 		e.walAppend(&walRecord{K: wkRequeue, T: now,
@@ -314,7 +146,6 @@ func (e *Engine) recoverTask(now float64, task workload.Task, used int) {
 			Slot: slot, Att: used + 1, FT: fireAt,
 			DS: hexState(e.rand.State())})
 	}
-	e.push(event{time: fireAt, kind: evRequeue, idx: slot})
 }
 
 // walFailRec logs one stranded task lost for good. The decision stream

@@ -38,6 +38,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/randx"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -208,21 +209,29 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 	if len(suffix) == 0 && ck != nil {
 		ms = ck.Meter
 	} else {
-		ms.States = make([]cluster.PState, len(e.cores))
-		ms.Override = make([]float64, len(e.cores))
-		for idx := range e.cores {
-			ms.States[idx] = e.cfg.IdlePState
-			if q := e.queues[idx]; len(q) > 0 && q[0].started {
-				ms.States[idx] = q[0].pstate
+		n := e.k.NumCores()
+		ms.States = make([]cluster.PState, n)
+		ms.Override = make([]float64, n)
+		for idx := range ms.States {
+			ms.States[idx] = e.k.IdlePState()
+			if q := e.k.Tasks(idx); len(q) > 0 && q[0].Started {
+				ms.States[idx] = q[0].PState
 			}
 			ms.Override[idx] = -1
-			if e.down[idx] {
+			if e.k.Down(idx) {
 				ms.Override[idx] = 0
 			}
 		}
 	}
 	if err := e.meter.Restore(ms); err != nil {
 		return nil, err
+	}
+	// Brownout: the stage is a pure monotone function of consumed/budget,
+	// so restoring it from the meter lands on the recovered stage. A stage
+	// that parks idle cores also completes the rebuilt meter: every idle,
+	// up core draws zero, as it did live.
+	if !math.IsInf(e.meter.Budget(), 1) {
+		e.publishStage(e.k.RestoreBrownout())
 	}
 	e.budgetBits.Store(math.Float64bits(e.meter.Budget()))
 	e.consumed.Store(math.Float64bits(e.meter.Consumed()))
@@ -243,22 +252,7 @@ func (e *Engine) RecoverFrom() (*RecoveryReport, error) {
 	if e.brk != nil {
 		e.st.brkOpens.Store(int64(e.brk.opens))
 	}
-	n := 0
-	for idx := range e.queues {
-		n += len(e.queues[idx])
-	}
-	e.inSystem = n
 	e.updInflight()
-
-	// Brownout: the stage is a pure monotone function of consumed/budget,
-	// so one Update lands on the recovered stage.
-	if e.bro != nil && !math.IsInf(e.meter.Budget(), 1) {
-		stage, _ := e.bro.Update(e.meter.Consumed() / e.meter.Budget())
-		e.stage.Store(int32(stage))
-		e.met.stage.Set(float64(stage))
-		cur := e.bro.Current()
-		e.shedGate.Store(cur != nil && cur.ShedAdmission)
-	}
 
 	e.rebuildEvents()
 
@@ -346,10 +340,10 @@ func (e *Engine) checkIdentity(modelHash string, seed uint64, policy, src string
 
 // restoreCheckpoint installs a checkpoint's snapshot into a prepared engine.
 func (e *Engine) restoreCheckpoint(ck *checkpoint) error {
-	if len(ck.Down) != len(e.down) || len(ck.Alive) != len(e.alive) ||
-		len(ck.Queues) != len(e.queues) || len(ck.RepairAt) != len(e.repairAt) {
+	cores, nodes := e.k.NumCores(), e.model.Cluster.N()
+	if len(ck.Down) != cores || len(ck.Alive) != nodes || len(ck.Queues) != cores || len(ck.RepairAt) != cores {
 		return fmt.Errorf("server: checkpoint shape (%d cores, %d nodes) does not match the model (%d cores, %d nodes)",
-			len(ck.Down), len(ck.Alive), len(e.down), len(e.alive))
+			len(ck.Down), len(ck.Alive), cores, nodes)
 	}
 	e.incarnation = ck.Incarnation
 	c := ck.Counters
@@ -369,17 +363,18 @@ func (e *Engine) restoreCheckpoint(ck *checkpoint) error {
 	e.decided = ck.Decided
 	e.nextID = ck.NextID
 	e.reqSeq = ck.ReqSeq
-	copy(e.down, ck.Down)
 	copy(e.repairAt, ck.RepairAt)
-	copy(e.alive, ck.Alive)
-	for idx := range e.queues {
-		e.queues[idx] = nil
-		for _, q := range ck.Queues[idx] {
-			e.queues[idx] = append(e.queues[idx], queued{
-				task: q.Task.task(), pstate: cluster.PState(q.PS), actual: q.Act,
-				attempts: q.Att, started: q.Started, startAt: q.StartAt,
-			})
+	for node, alive := range ck.Alive {
+		e.k.SetNodeDead(node, !alive)
+	}
+	for idx, qs := range ck.Queues {
+		e.k.SetDown(idx, ck.Down[idx])
+		var q []sim.Queued
+		for _, c := range qs {
+			q = append(q, sim.Queued{Task: c.Task.task(), PState: cluster.PState(c.PS), Actual: c.Act,
+				Attempts: c.Att, Started: c.Started, StartAt: c.StartAt})
 		}
+		e.k.SetTasks(idx, q)
 	}
 	e.requeues = make(map[int]requeueEntry, len(ck.Requeues))
 	for _, r := range ck.Requeues {
@@ -438,9 +433,9 @@ func (e *Engine) restoreCheckpoint(ck *checkpoint) error {
 		hexs   string
 	}{
 		{e.rand, ck.RandDecisions},
-		{e.transientRng, ck.RandTransient},
-		{e.permanentRng, ck.RandPermanent},
-		{e.targetRng, ck.RandTarget},
+		{e.faultRn.Transient, ck.RandTransient},
+		{e.faultRn.Permanent, ck.RandPermanent},
+		{e.faultRn.Target, ck.RandTarget},
 		{e.quantRn, ck.RandQuant},
 	} {
 		if err := setHexState(s.stream, s.hexs); err != nil {
@@ -541,12 +536,12 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 		if err := setHexState(e.rand, r.DS); err != nil {
 			return err
 		}
-		if r.Core < 0 || r.Core >= len(e.queues) {
+		if r.Core < 0 || r.Core >= e.k.NumCores() {
 			return fmt.Errorf("core %d out of range", r.Core)
 		}
-		e.queues[r.Core] = append(e.queues[r.Core], queued{
-			task: recTask(r), pstate: cluster.PState(r.PS), actual: r.Act, attempts: r.Att,
-		})
+		e.k.SetTasks(r.Core, append(e.k.Tasks(r.Core), sim.Queued{
+			Task: recTask(r), PState: cluster.PState(r.PS), Actual: r.Act, Attempts: r.Att,
+		}))
 		e.st.assigned.Add(1)
 		if r.New {
 			e.st.mapped.Add(1)
@@ -561,19 +556,19 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 			rs.retries = dropEntry(rs.retries, r.ID)
 		}
 	case wkStart:
-		q := e.queues[r.Core]
-		if len(q) == 0 || q[0].task.ID != r.ID {
+		q := e.k.Tasks(r.Core)
+		if len(q) == 0 || q[0].Task.ID != r.ID {
 			return fmt.Errorf("start for task %d does not match core %d queue head", r.ID, r.Core)
 		}
-		q[0].started = true
-		q[0].startAt = r.T
+		q[0].Started = true
+		q[0].StartAt = r.T
 	case wkFinish:
-		q := e.queues[r.Core]
-		if len(q) == 0 || q[0].task.ID != r.ID {
+		q := e.k.Tasks(r.Core)
+		if len(q) == 0 || q[0].Task.ID != r.ID {
 			return fmt.Errorf("finish for task %d does not match core %d queue head", r.ID, r.Core)
 		}
-		e.tenantCompleted(q[0].task, r.OK)
-		e.queues[r.Core] = q[1:]
+		e.tenantCompleted(q[0].Task, r.OK)
+		e.k.SetTasks(r.Core, q[1:])
 		if r.OK {
 			e.st.onTime.Add(1)
 		} else {
@@ -607,24 +602,24 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 		rs.retries = dropEntry(rs.retries, r.ID)
 	case wkFault:
 		e.st.faults.Add(1)
-		if err := setHexState(e.targetRng, r.TGS); err != nil {
+		if err := setHexState(e.faultRn.Target, r.TGS); err != nil {
 			return err
 		}
 		if !r.AP {
 			break
 		}
 		if r.Src == "permanent" {
-			if r.Node < 0 || r.Node >= len(e.alive) {
+			if r.Node < 0 || r.Node >= e.model.Cluster.N() {
 				return fmt.Errorf("node %d out of range", r.Node)
 			}
-			e.alive[r.Node] = false
-			for idx, id := range e.cores {
-				if id.Node == r.Node {
+			e.k.SetNodeDead(r.Node, true)
+			for idx := 0; idx < e.k.NumCores(); idx++ {
+				if e.k.CoreID(idx).Node == r.Node {
 					rs.strand(e, idx, r.T)
 				}
 			}
 		} else {
-			if r.Core < 0 || r.Core >= len(e.down) {
+			if r.Core < 0 || r.Core >= e.k.NumCores() {
 				return fmt.Errorf("core %d out of range", r.Core)
 			}
 			rs.strand(e, r.Core, r.T)
@@ -634,24 +629,24 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 		switch r.Src {
 		case "transient":
 			if r.TRS != "" {
-				if err := setHexState(e.transientRng, r.TRS); err != nil {
+				if err := setHexState(e.faultRn.Transient, r.TRS); err != nil {
 					return err
 				}
 			}
 			if r.TGS != "" {
-				if err := setHexState(e.targetRng, r.TGS); err != nil {
+				if err := setHexState(e.faultRn.Target, r.TGS); err != nil {
 					return err
 				}
 			}
 			e.nextTransient = r.NX
 		case "permanent":
 			if r.PRS != "" {
-				if err := setHexState(e.permanentRng, r.PRS); err != nil {
+				if err := setHexState(e.faultRn.Permanent, r.PRS); err != nil {
 					return err
 				}
 			}
 			if r.TGS != "" {
-				if err := setHexState(e.targetRng, r.TGS); err != nil {
+				if err := setHexState(e.faultRn.Target, r.TGS); err != nil {
 					return err
 				}
 			}
@@ -665,12 +660,12 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 			return fmt.Errorf("unknown fault source %q", r.Src)
 		}
 	case wkRepair:
-		if r.Core < 0 || r.Core >= len(e.down) {
+		if r.Core < 0 || r.Core >= e.k.NumCores() {
 			return fmt.Errorf("core %d out of range", r.Core)
 		}
 		e.repairAt[r.Core] = 0
 		if r.AP {
-			e.down[r.Core] = false
+			e.k.SetDown(r.Core, false)
 		}
 	case wkBreaker:
 		if e.brk == nil || r.Node < 0 || r.Node >= len(e.brk.nodes) {
@@ -708,14 +703,14 @@ func (e *Engine) apply(r *walRecord, rs *replayState) error {
 // strand mirrors downCore's structural effect: the core goes down and its
 // queue moves into limbo awaiting each task's durable disposition.
 func (rs *replayState) strand(e *Engine, idx int, at float64) {
-	if e.down[idx] {
+	if e.k.Down(idx) {
 		return
 	}
-	e.down[idx] = true
-	for _, q := range e.queues[idx] {
-		rs.limbo = append(rs.limbo, limboEntry{task: q.task, attempts: q.attempts, at: at})
+	e.k.SetDown(idx, true)
+	for _, q := range e.k.Tasks(idx) {
+		rs.limbo = append(rs.limbo, limboEntry{task: q.Task, attempts: q.Attempts, at: at})
 	}
-	e.queues[idx] = nil
+	e.k.SetTasks(idx, nil)
 }
 
 // failTenant credits the per-tenant failure of a replayed fail record: the
@@ -736,11 +731,11 @@ func (rs *replayState) failTenant(e *Engine, id int) {
 // failure credits included — the live path fails each cleared task through
 // fail(), which feeds tenantFailed.
 func (rs *replayState) clearInFlight(e *Engine) {
-	for idx := range e.queues {
-		for _, q := range e.queues[idx] {
-			e.tenantFailed(q.task)
+	for idx := 0; idx < e.k.NumCores(); idx++ {
+		for _, q := range e.k.Tasks(idx) {
+			e.tenantFailed(q.Task)
 		}
-		e.queues[idx] = nil
+		e.k.SetTasks(idx, nil)
 	}
 	for _, r := range e.requeues {
 		e.tenantFailed(r.task)
@@ -755,30 +750,30 @@ func (rs *replayState) clearInFlight(e *Engine) {
 // fixed order, sequence counter reset. A halted engine gets no events; its
 // heap was dropped at the halt.
 func (e *Engine) rebuildEvents() {
-	e.events = nil
-	e.seq = 0
+	k := e.k
+	k.ResetEvents()
 	if e.halted.Load() {
 		return
 	}
-	for idx := range e.queues {
-		if q := e.queues[idx]; len(q) > 0 && q[0].started {
-			e.push(event{time: q[0].startAt + q[0].actual, kind: evCompletion, idx: idx, gen: e.runGen[idx]})
+	for idx := 0; idx < k.NumCores(); idx++ {
+		if q := k.Tasks(idx); len(q) > 0 && q[0].Started {
+			k.Push(sim.Event{Time: q[0].StartAt + q[0].Actual, Kind: sim.EvCompletion, Idx: idx, Gen: k.RunGen(idx)})
 		}
 	}
 	if e.nextTransient > 0 {
-		e.push(event{time: e.nextTransient, kind: evFault, idx: srcTransient})
+		k.Push(sim.Event{Time: e.nextTransient, Kind: sim.EvFault, Idx: sim.SrcTransient})
 	}
 	if e.nextPermanent > 0 {
-		e.push(event{time: e.nextPermanent, kind: evFault, idx: srcPermanent})
+		k.Push(sim.Event{Time: e.nextPermanent, Kind: sim.EvFault, Idx: sim.SrcPermanent})
 	}
 	for i, sf := range e.cfg.Faults.Script {
 		if !e.scriptFired[i] {
-			e.push(event{time: sf.Time, kind: evFault, idx: srcScript + i})
+			k.Push(sim.Event{Time: sf.Time, Kind: sim.EvFault, Idx: sim.SrcScript + i})
 		}
 	}
-	for idx := range e.down {
-		if e.down[idx] && e.repairAt[idx] > 0 {
-			e.push(event{time: e.repairAt[idx], kind: evRepair, idx: idx})
+	for idx := 0; idx < k.NumCores(); idx++ {
+		if k.Down(idx) && e.repairAt[idx] > 0 {
+			k.Push(sim.Event{Time: e.repairAt[idx], Kind: sim.EvRepair, Idx: idx})
 		}
 	}
 	slots := make([]int, 0, len(e.requeues))
@@ -787,7 +782,7 @@ func (e *Engine) rebuildEvents() {
 	}
 	sort.Ints(slots)
 	for _, s := range slots {
-		e.push(event{time: e.requeues[s].fireAt, kind: evRequeue, idx: s})
+		k.Push(sim.Event{Time: e.requeues[s].fireAt, Kind: sim.EvRequeue, Idx: s})
 	}
 }
 

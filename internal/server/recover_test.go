@@ -101,6 +101,24 @@ func driveScenario(t testing.TB, eng *Engine, clk *ManualClock, m *workload.Mode
 	}
 }
 
+// driveBrownoutScenario is driveScenario followed by a burst admitted under
+// the idle-parking stage and left in flight at the crash, so the drain
+// after every recovery integrates energy over gated idle cores.
+func driveBrownoutScenario(t testing.TB, eng *Engine, clk *ManualClock, m *workload.Model) {
+	t.Helper()
+	driveScenario(t, eng, clk, m)
+	for i := 0; i < 6; i++ {
+		if _, err := eng.Submit(TaskRequest{Type: i % m.Params.TaskTypes}); err != nil {
+			t.Fatalf("tail submit %d: %v", i, err)
+		}
+	}
+	clk.Advance(m.TAvg() / 10)
+	eng.Sync()
+	if err := eng.CheckpointNow(); err != nil {
+		t.Fatalf("tail checkpoint: %v", err)
+	}
+}
+
 // walLines splits a WAL file into its header line and record lines.
 func walLines(t *testing.T, path string) (header []byte, records [][]byte) {
 	t.Helper()
@@ -131,10 +149,28 @@ func writeTruncatedWAL(t *testing.T, header []byte, records [][]byte, k int, dst
 	}
 }
 
+// durableScenario builds the configuration of one durability scenario over
+// a WAL + checkpoint directory and a clock.
+type durableScenario func(t testing.TB, m *workload.Model, dir string, clk *ManualClock) Config
+
+// brownoutCfg is durableCfg under the default brownout schedule with a
+// budget the scenario drains past the 98% stage, which parks idle cores:
+// recovery must rebuild the meter with those cores gated.
+func brownoutCfg(t testing.TB, m *workload.Model, dir string, clk *ManualClock) Config {
+	cfg := durableCfg(t, m, dir, clk)
+	cfg.Budget = idleRate(t, m) * 4 * m.TAvg()
+	cfg.Brownout = energy.DefaultBrownoutStages()
+	return cfg
+}
+
 // recoverEngine prepares an engine over dir's WAL + checkpoint and replays.
 func recoverEngine(t *testing.T, m *workload.Model, dir string) (*Engine, *RecoveryReport) {
+	return recoverEngineWith(t, m, dir, durableCfg)
+}
+
+func recoverEngineWith(t *testing.T, m *workload.Model, dir string, scen durableScenario) (*Engine, *RecoveryReport) {
 	t.Helper()
-	cfg := durableCfg(t, m, dir, NewManualClock())
+	cfg := scen(t, m, dir, NewManualClock())
 	eng, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +184,9 @@ func recoverEngine(t *testing.T, m *workload.Model, dir string) (*Engine, *Recov
 
 // recoverAndDrain recovers from dir and drains deterministically, returning
 // the normalized final report (wall uptime zeroed).
-func recoverAndDrain(t *testing.T, m *workload.Model, dir string) *FinalReport {
+func recoverAndDrain(t *testing.T, m *workload.Model, dir string, scen durableScenario) *FinalReport {
 	t.Helper()
-	eng, _ := recoverEngine(t, m, dir)
+	eng, _ := recoverEngineWith(t, m, dir, scen)
 	_ = eng.DrainNow() // grace expiry is reported in the final accounting
 	rep := eng.FinalReport()
 	rep.UptimeSeconds = 0
@@ -169,27 +205,36 @@ func recoverAndDrain(t *testing.T, m *workload.Model, dir string) *FinalReport {
 //     checkpoint + suffix replay must agree bit-identically;
 //   - at the full-stream cut, the recovered report must equal the
 //     uninterrupted reference run's report.
+//
+// The brownout scenario drains the budget past the default schedule's 98%
+// stage, which parks idle cores, and is cut at every record.
 func TestRecoveryBitIdentity(t *testing.T) {
 	m := buildModel(t, 30)
+	checkRecoveryBitIdentity(t, m, durableCfg, driveScenario, false)
+	t.Run("brownout", func(t *testing.T) { checkRecoveryBitIdentity(t, m, brownoutCfg, driveBrownoutScenario, true) })
+}
 
+func checkRecoveryBitIdentity(t *testing.T, m *workload.Model, scen durableScenario,
+	drive func(testing.TB, *Engine, *ManualClock, *workload.Model), everyCut bool) {
 	// Reference: identical history, graceful drain, no crash.
 	refDir := t.TempDir()
 	refClk := NewManualClock()
-	refEng, err := New(durableCfg(t, m, refDir, refClk))
+	refEng, err := New(scen(t, m, refDir, refClk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveScenario(t, refEng, refClk, m)
+	drive(t, refEng, refClk, m)
+	crashInFlight := refEng.Stats().InFlight
 	refEng.Close() // abrupt: the crash whose artifacts everything below replays
 
 	// The uninterrupted reference: same history, drained in place.
 	ref2Dir := t.TempDir()
 	ref2Clk := NewManualClock()
-	ref2Eng, err := New(durableCfg(t, m, ref2Dir, ref2Clk))
+	ref2Eng, err := New(scen(t, m, ref2Dir, ref2Clk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveScenario(t, ref2Eng, ref2Clk, m)
+	drive(t, ref2Eng, ref2Clk, m)
 	if err := ref2Eng.Drain(t.Context()); err != nil {
 		t.Fatalf("reference drain: %v", err)
 	}
@@ -200,6 +245,12 @@ func TestRecoveryBitIdentity(t *testing.T) {
 	// replayer handles, or the property below proves nothing.
 	if st := refRep.Stats; st.Faults != 3 || st.Retries == 0 || st.Shed == 0 {
 		t.Fatalf("scenario too tame to test recovery: %+v", st)
+	}
+	if cfg := scen(t, m, refDir, refClk); len(cfg.Brownout) > 0 && refRep.Stats.BrownoutStage != len(cfg.Brownout) {
+		t.Fatalf("brownout scenario reached stage %d, want the idle-parking stage %d", refRep.Stats.BrownoutStage, len(cfg.Brownout))
+	}
+	if everyCut && crashInFlight == 0 {
+		t.Fatal("no work in flight at the crash: the drain after recovery would not integrate energy")
 	}
 
 	header, records := walLines(t, filepath.Join(refDir, "wal.1"))
@@ -217,6 +268,11 @@ func TestRecoveryBitIdentity(t *testing.T) {
 	for k := 7; k < n; k += n / 6 {
 		cuts[k] = true
 	}
+	if everyCut {
+		for k := 0; k <= n; k++ {
+			cuts[k] = true
+		}
+	}
 	for k := range cuts {
 		if k < 0 || k > n {
 			continue
@@ -225,16 +281,16 @@ func TestRecoveryBitIdentity(t *testing.T) {
 			// Genesis replay of the prefix alone.
 			dirA := t.TempDir()
 			writeTruncatedWAL(t, header, records, k, filepath.Join(dirA, "wal.1"))
-			finA := recoverAndDrain(t, m, dirA)
+			finA := recoverAndDrain(t, m, dirA, scen)
 
 			// Checkpoint round-trip: recover, crash immediately (the first
 			// recovery persisted a rotated WAL + fresh checkpoint), recover
 			// again from what it left behind, then drain.
 			dirB := t.TempDir()
 			writeTruncatedWAL(t, header, records, k, filepath.Join(dirB, "wal.1"))
-			eng1, rep1 := recoverEngine(t, m, dirB)
+			eng1, rep1 := recoverEngineWith(t, m, dirB, scen)
 			_ = eng1.wal.close() // crash: no drain, file released
-			eng2, rep2 := recoverEngine(t, m, dirB)
+			eng2, rep2 := recoverEngineWith(t, m, dirB, scen)
 			if rep2.Incarnation != rep1.Incarnation+1 {
 				t.Fatalf("incarnation %d after %d", rep2.Incarnation, rep1.Incarnation)
 			}
@@ -256,7 +312,7 @@ func TestRecoveryBitIdentity(t *testing.T) {
 				if err := os.WriteFile(filepath.Join(dirC, "ckpt"), cp, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				finC := recoverAndDrain(t, m, dirC)
+				finC := recoverAndDrain(t, m, dirC, scen)
 				if !reflect.DeepEqual(finA, finC) {
 					t.Errorf("checkpoint+suffix diverged from genesis at cut %d:\n genesis: %+v\n ckpt: %+v", k, finA.Stats, finC.Stats)
 				}

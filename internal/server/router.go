@@ -125,7 +125,9 @@ type Router struct {
 // NewSharded partitions the base configuration into n engine shards behind a
 // router. Shard i owns a contiguous node slice (greedily balanced by core
 // count), an energy sub-budget proportional to its cores with Σ ≡ ζ_max
-// exactly, seed Seed + i*stride, and WAL/checkpoint paths suffixed ".s<i>".
+// exactly, an energy-filter Horizon carved the same way (Σ H_i = H, each
+// H_i >= 1), seed Seed + i*stride, and WAL/checkpoint paths suffixed
+// ".s<i>".
 //
 // n=1 is the identity: one shard with the whole cluster, the full budget,
 // the base seed, and the unmodified WAL path — bit-identical to the
@@ -187,6 +189,24 @@ func NewSharded(base Config, n int, rcfg RouterConfig) (*Router, error) {
 		}
 		subs[n-1] = zeta - acc
 	}
+	// Carve the energy filter's Horizon the same way: each shard's fair
+	// share ζ_mul·ζ_i/H_i then equals the unsharded ζ_mul·ζ/H, where a
+	// full-window H_i would shrink it to c_i/C of that and starve every
+	// shard's filter.
+	horizon := base.Horizon
+	if horizon == 0 {
+		horizon = base.Model.Params.WindowSize
+	}
+	hors := make([]int, n)
+	hacc := 0
+	for i := 0; i < n-1; i++ {
+		hors[i] = max(1, horizon*coresOf[i]/totalCores)
+		hacc += hors[i]
+	}
+	hors[n-1] = horizon - hacc
+	if n > 1 && hors[n-1] < 1 {
+		return nil, fmt.Errorf("server: Horizon %d is too small to carve over %d shards", horizon, n)
+	}
 
 	if rcfg.Placement == nil {
 		rcfg.Placement = &RoundRobinPlacement{}
@@ -214,6 +234,7 @@ func NewSharded(base Config, n int, rcfg RouterConfig) (*Router, error) {
 			if !math.IsInf(subs[i], 1) {
 				cfg.Budget = subs[i]
 			}
+			cfg.Horizon = hors[i]
 			cfg.Seed = base.Seed + uint64(i)*shardSeedStride
 			if base.WALPath != "" {
 				cfg.WALPath = fmt.Sprintf("%s.s%d", base.WALPath, i)

@@ -104,6 +104,43 @@ func TestSubBudgetLedgerExact(t *testing.T) {
 	}
 }
 
+// TestHorizonCarvedPerShard checks that the energy filter's Horizon is
+// carved like ζ_max: proportional to core counts, at least 1 per shard,
+// summing exactly to the unsharded Horizon, so each shard's fair share
+// ζ_i/H_i stays close to the unsharded ζ/H instead of shrinking to c_i/C of
+// it.
+func TestHorizonCarvedPerShard(t *testing.T) {
+	m := buildModel(t, 7)
+	zeta := idleRate(t, m) * 100 * m.TAvg()
+	for _, n := range []int{2, 3, 4} {
+		rt, _ := newTestRouter(t, m, n, func(c *Config) { c.Budget = zeta })
+		h, cores := m.Params.WindowSize, m.Cluster.TotalCores()
+		sum := 0
+		for i, sh := range rt.Shards() {
+			hi := sh.Engine().cfg.Horizon
+			if hi < 1 {
+				t.Fatalf("n=%d shard %d: Horizon %d < 1", n, i, hi)
+			}
+			sum += hi
+			if want := float64(h) * float64(sh.Cores) / float64(cores); math.Abs(float64(hi)-want) > float64(n) {
+				t.Errorf("n=%d shard %d (%d of %d cores): Horizon %d, want ≈ %.1f", n, i, sh.Cores, cores, hi, want)
+			}
+			fair, whole := rt.SubBudgets()[i]/float64(hi), zeta/float64(h)
+			if fair < 0.5*whole || fair > 2*whole {
+				t.Errorf("n=%d shard %d: fair share %v far from the unsharded %v", n, i, fair, whole)
+			}
+		}
+		if sum != h {
+			t.Errorf("n=%d: shard Horizons sum to %d, want %d", n, sum, h)
+		}
+	}
+	// One shard is the identity: the Horizon is left to the engine default.
+	rt, _ := newTestRouter(t, m, 1, nil)
+	if got := rt.Shards()[0].Engine().cfg.Horizon; got != m.Params.WindowSize {
+		t.Errorf("shards=1 Horizon %d, want %d", got, m.Params.WindowSize)
+	}
+}
+
 // TestRoundRobinDistribution routes a burst through three healthy shards
 // and expects an exactly even split: the rotation cursor advances once per
 // pick over a stable candidate set.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -73,15 +72,6 @@ func (p EDFCheapest) Select(calc *robustness.Calculator, pool []workload.Task, n
 	return best, cluster.P0
 }
 
-// runCentral executes the central-queue variant of the simulation. It is
-// selected by Config.CentralQueue.
-type centralEngine struct {
-	*engine
-	policy PullPolicy
-	pool   []workload.Task
-	idle   map[int]bool
-}
-
 // validateCentral checks the central-queue configuration.
 func validateCentral(cfg Config) error {
 	if cfg.CentralQueue == nil {
@@ -96,55 +86,8 @@ func validateCentral(cfg Config) error {
 	return nil
 }
 
-func (e *centralEngine) loopCentral() error {
-	for e.events.Len() > 0 {
-		if err := e.checkCancelled(); err != nil {
-			return err
-		}
-		ev := popEvent(&e.events)
-		if ev.kind == evFault && !e.faultWorkRemains() {
-			continue // trailing fault; see engine.loop
-		}
-		e.depthIntegral += float64(e.inSystem+len(e.pool)) * (ev.time - e.lastT)
-		e.lastT = ev.time
-		at, exhausted := e.meter.Advance(ev.time)
-		e.sampleEnergy(at)
-		if exhausted {
-			e.res.EnergyExhausted = true
-			e.res.ExhaustedAt = at
-			e.res.Makespan = at
-			e.met.energyExhausted()
-			e.cfg.Observer.EnergyExhausted(at)
-			return nil
-		}
-		e.checkBrownout(at)
-		e.met.event(ev.kind, e.inSystem+len(e.pool))
-		switch ev.kind {
-		case evArrival:
-			e.arrived++
-			task := e.trial.Tasks[ev.idx]
-			e.pool = append(e.pool, task)
-			e.dispatch(ev.time)
-		case evCompletion:
-			if !e.staleCompletion(ev) {
-				e.completeCentral(ev.time, ev.idx)
-			}
-		case evPark:
-			e.park(ev.idx, ev.gen)
-		case evFault:
-			e.handleFault(ev.time, ev.idx)
-		case evRepair:
-			e.handleRepair(ev.time, ev.idx)
-		case evRequeue:
-			e.handleRequeue(ev.time, ev.idx)
-		}
-		e.res.Makespan = ev.time
-	}
-	return nil
-}
-
 // dispatch matches idle cores to pool tasks until one side runs dry.
-func (e *centralEngine) dispatch(now float64) {
+func (e *engine) dispatch(now float64) {
 	for len(e.pool) > 0 && len(e.idle) > 0 {
 		// Deterministic idle-core order: lowest flat index first.
 		coreIdx := -1
@@ -153,67 +96,48 @@ func (e *centralEngine) dispatch(now float64) {
 				coreIdx = idx
 			}
 		}
-		node := e.cores[coreIdx].Node
-		pick, ps := e.policy.Select(e.calc, e.pool, node, now, e.energyLeft, 0)
+		core := e.k.CoreID(coreIdx)
+		pick, ps := e.policy.Select(e.calc, e.pool, core.Node, now, e.energyLeft, 0)
 		if pick < 0 || pick >= len(e.pool) {
 			return // policy declines; core stays idle
 		}
-		if e.bro != nil {
-			// An active brownout stage floors dispatch at frugal P-states
-			// regardless of what the pull policy asked for.
-			if st := e.bro.Current(); st != nil && ps < st.PStateFloor {
-				ps = st.PStateFloor
-			}
+		// An active brownout stage floors dispatch at frugal P-states
+		// regardless of what the pull policy asked for.
+		if st := e.k.Stage(); st != nil && ps < st.PStateFloor {
+			ps = st.PStateFloor
 		}
 		task := e.pool[pick]
 		e.pool = append(e.pool[:pick], e.pool[pick+1:]...)
 		delete(e.idle, coreIdx)
+		a := e.k.assignment(coreIdx, ps)
 
-		exec := e.cfg.Model.ExecPMF(task.Type, node, ps)
-		eec := exec.Mean() * e.cfg.Model.Cluster.Node(e.cores[coreIdx]).Power[ps] /
-			e.cfg.Model.Cluster.Node(e.cores[coreIdx]).Efficiency
+		exec := e.cfg.Model.ExecPMF(task.Type, core.Node, ps)
+		eec := exec.Mean() * e.cfg.Model.Cluster.Node(core).Power[ps] /
+			e.cfg.Model.Cluster.Node(core).Efficiency
 		e.energyLeft -= eec
 		e.res.Mapped++
-		e.met.taskMapped()
+		e.met.mapped.Inc()
 		if e.dobs != nil {
 			// The core is idle at dispatch, so the predicted completion
 			// distribution is the execution pmf shifted to now — the same
 			// quantity EDFCheapest evaluates when choosing the P-state.
 			comp := exec.Shift(now)
-			e.dobs.TaskDecision(now, task, e.assignment(coreIdx, ps), sched.Prediction{
+			e.dobs.TaskDecision(now, task, a, sched.Prediction{
 				Rho:  comp.ProbByDeadline(task.Deadline),
 				Mean: comp.Mean(),
 				P50:  comp.Quantile(0.5),
 				P99:  comp.Quantile(0.99),
 			}, eec)
 		}
-		actual := e.cfg.Model.ActualExecTime(task, node, ps)
-		// Central queues hold at most the running task, so no chain ever
-		// spans more than the head: start() below invalidates the free-time
-		// engine and no OnEnqueue extension is possible here.
-		e.queues[coreIdx] = append(e.queues[coreIdx], queued{task: task, pstate: ps, actual: actual})
-		e.inSystem++
 		if e.cfg.Trace {
 			tr := &e.res.Traces[task.ID]
 			tr.Mapped = true
-			tr.Assignment = e.assignment(coreIdx, ps)
+			tr.Assignment = a
 		}
-		e.cfg.Observer.TaskMapped(now, task, e.assignment(coreIdx, ps))
+		// Central queues hold at most the running task, so the core was
+		// idle and the enqueue starts it at once.
+		actual := e.cfg.Model.ActualExecTime(task, core.Node, ps)
+		e.k.Enqueue(now, a, Queued{Task: task, PState: ps, Actual: actual})
 		e.start(now, coreIdx)
 	}
-}
-
-func (e *centralEngine) completeCentral(now float64, coreIdx int) {
-	e.complete(now, coreIdx)
-	// complete() started the next per-core task if one existed; in central
-	// mode per-core queues hold at most the running task, so the core is
-	// idle now.
-	if len(e.queues[coreIdx]) == 0 {
-		e.idle[coreIdx] = true
-		e.dispatch(now)
-	}
-}
-
-func popEvent(h *eventHeap) event {
-	return heap.Pop(h).(event)
 }

@@ -1,83 +1,24 @@
 package sim
 
-// Fault injection and brownout mechanics for both engines. Everything here
-// is gated on e.flt / e.bro being non-nil, so the paper's fault-free,
-// hard-halt configuration takes none of these paths and stays bit-identical
-// (enforced by test and benchmark).
-//
-// A failure event kills whatever the stricken core is doing: the running
-// task's energy is already spent and cannot be refunded; the run generation
-// counter invalidates its pending completion event; and the running plus
-// waiting tasks go to the recovery policy (drop, or requeue with bounded
-// retries through the full filter chain). A transiently-failed core draws
-// zero watts until its repair event; a permanently-failed node's cores
-// never come back.
+// The simulator's side of fault injection. The kernel owns the mechanics
+// (victim picking, strike, repair, backoff); the driver here counts what
+// they do into the Result and routes retries back through the mapper.
+// Everything is gated on the fault spec being enabled, so the paper's
+// fault-free configuration takes none of these paths and stays
+// bit-identical (enforced by test and benchmark).
 
 import (
-	"repro/internal/fault"
-	"repro/internal/randx"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
-// Fault-source indices carried in evFault events: the two stochastic
-// processes, then the scripted entries.
-const (
-	srcTransient = 0
-	srcPermanent = 1
-	srcScript    = 2 // scripted fault i has source srcScript+i
-)
-
-// faultRuntime is the engine's failure-injection state.
-type faultRuntime struct {
-	spec fault.Spec
-	// Independent child streams per decision type, so adding draws to one
-	// process never perturbs the other.
-	transientRng *randx.Stream
-	permanentRng *randx.Stream
-	targetRng    *randx.Stream
-
-	down     []bool    // per flat core index
-	downAt   []float64 // time the core went down (valid while down)
-	nodeDead []bool    // per node index
-	runGen   []int     // bumped on failure; stale completions are dropped
-	attempts map[int]int
-	avail    float64 // steady-state availability for the reliability filter
-}
-
-// initFaults prepares the runtime and schedules the first failure of each
-// enabled process plus every scripted fault.
-func (e *engine) initFaults(decisions *randx.Stream) {
-	rng := decisions.Child("fault")
-	f := &faultRuntime{
-		spec:         e.cfg.Faults,
-		transientRng: rng.Child("transient"),
-		permanentRng: rng.Child("permanent"),
-		targetRng:    rng.Child("target"),
-		down:         make([]bool, len(e.queues)),
-		downAt:       make([]float64, len(e.queues)),
-		nodeDead:     make([]bool, e.cfg.Model.Cluster.N()),
-		runGen:       make([]int, len(e.queues)),
-		attempts:     make(map[int]int),
-		avail:        e.cfg.Faults.Availability(),
-	}
-	e.flt = f
-	e.coreUpFn = func(idx int) bool { return !f.down[idx] }
-	e.availFn = func(int) float64 { return f.avail }
-	if f.spec.Transient.Enabled {
-		e.push(event{time: f.spec.Transient.Sample(f.transientRng), kind: evFault, idx: srcTransient})
-	}
-	if f.spec.Permanent.Enabled {
-		e.push(event{time: f.spec.Permanent.Sample(f.permanentRng), kind: evFault, idx: srcPermanent})
-	}
-	for i, sf := range f.spec.Script {
-		e.push(event{time: sf.Time, kind: evFault, idx: srcScript + i})
-	}
-}
-
-// coreDown reports whether a core is currently failed.
-func (e *engine) coreDown(coreIdx int) bool {
-	return e.flt != nil && e.flt.down[coreIdx]
+// initFaults prepares the driver's fault state and schedules the first
+// failure of each enabled process plus every scripted fault.
+func (e *engine) initFaults() {
+	e.attempts = make(map[int]int)
+	avail := e.cfg.Faults.Availability()
+	e.coreUpFn = func(idx int) bool { return !e.k.Down(idx) }
+	e.availFn = func(int) float64 { return avail }
+	e.k.ScheduleFaults()
 }
 
 // faultWorkRemains reports whether any task could still be affected by a
@@ -86,212 +27,31 @@ func (e *engine) coreDown(coreIdx int) bool {
 // are dropped instead of processed, which is what lets the event loop drain
 // — the stochastic processes otherwise reschedule themselves forever.
 func (e *engine) faultWorkRemains() bool {
-	return e.arrived < len(e.trial.Tasks) || e.inSystem > 0 || e.pendingReq > 0 ||
-		(e.poolLen != nil && e.poolLen() > 0)
+	return e.arrived < len(e.trial.Tasks) || e.k.InSystem() > 0 || e.pendingReq > 0 || len(e.pool) > 0
 }
 
-// decorateCtx attaches the fault/brownout state the scheduler needs: down
-// cores drop out of candidate enumeration, availability discounts ρ for the
-// reliability filter, and an active brownout stage floors the P-state and
-// caps ζ_mul. All fields stay nil/zero when the features are off.
-func (e *engine) decorateCtx(ctx *sched.Context) {
-	ctx.FreeTimes = e.ftc
-	ctx.Arena = e.arena
-	if e.flt != nil {
-		ctx.CoreUp = e.coreUpFn
-		ctx.Availability = e.availFn
-	}
-	if e.bro != nil {
-		if st := e.bro.Current(); st != nil {
-			ctx.PStateFloor = st.PStateFloor
-			ctx.ZetaMulOverride = st.ZetaMul
-		}
-	}
-}
-
-// checkBrownout advances the brownout automaton after a meter advance and
-// applies any newly-tripped stage's measures. Transitions are detected at
-// event granularity: the consumed fraction is only inspected when the
-// simulation clock moves, so a stage formally trips at the first event at
-// or after the crossing instant (documented in DESIGN.md).
-func (e *engine) checkBrownout(now float64) {
-	if e.bro == nil {
-		return
-	}
-	frac := e.meter.Consumed() / e.meter.Budget()
-	stage, changed := e.bro.Update(frac)
-	if !changed {
-		return
-	}
-	e.res.BrownoutStage = stage
-	e.met.brownoutStage(stage)
-	if e.bobs != nil {
-		e.bobs.BrownoutStageChanged(now, stage, frac)
-	}
-	if st := e.bro.Current(); st.ParkIdle {
-		for i := range e.queues {
-			if len(e.queues[i]) == 0 && !e.coreDown(i) {
-				e.meter.SetPower(i, 0)
-			}
-		}
-	}
-}
-
-// applyIdlePower power-gates a core that just went idle when the active
-// brownout stage calls for it (otherwise the core sits at the idle P-state
-// power as usual).
-func (e *engine) applyIdlePower(coreIdx int) {
-	if e.bro == nil {
-		return
-	}
-	if st := e.bro.Current(); st != nil && st.ParkIdle {
-		e.meter.SetPower(coreIdx, 0)
-	}
-}
-
-// handleFault fires one failure: picks the victim (for stochastic sources),
-// injects it, and reschedules the source process.
+// handleFault fires one failure source and reschedules it.
 func (e *engine) handleFault(now float64, src int) {
-	f := e.flt
-	switch src {
-	case srcTransient:
-		if idx, ok := f.pickUpCore(); ok {
-			e.injectFault(now, fault.Transient, idx, -1, f.spec.RepairTime)
-		}
-		// With every node permanently dead no core can ever be struck
-		// again; rescheduling would spin the loop forever.
-		if !f.allNodesDead() {
-			e.push(event{time: now + f.spec.Transient.Sample(f.transientRng), kind: evFault, idx: srcTransient})
-		}
-	case srcPermanent:
-		if node, ok := f.pickAliveNode(); ok {
-			e.injectFault(now, fault.Permanent, -1, node, 0)
-		}
-		if !f.allNodesDead() {
-			e.push(event{time: now + f.spec.Permanent.Sample(f.permanentRng), kind: evFault, idx: srcPermanent})
-		}
-	default:
-		sf := f.spec.Script[src-srcScript]
-		if sf.Kind == fault.Permanent {
-			e.injectFault(now, fault.Permanent, -1, sf.Node, 0)
-		} else {
-			repair := sf.Repair
-			if repair <= 0 {
-				repair = f.spec.RepairTime
-			}
-			e.injectFault(now, fault.Transient, sf.Core, -1, repair)
-		}
+	if s, ok := e.k.Target(src); ok {
+		e.res.Faults++
+		e.met.faults[s.Kind].Inc()
+		e.k.Strike(now, s, e.strand)
 	}
+	e.k.Reschedule(now, src)
 }
 
-// pickUpCore selects a victim uniformly among up cores. No draw is consumed
-// when every core is already down.
-func (f *faultRuntime) pickUpCore() (int, bool) {
-	up := 0
-	for _, d := range f.down {
-		if !d {
-			up++
+// strand accounts for one downed core: its running task is killed, every
+// stranded task goes to recovery, and a parked core's gating ends.
+func (e *engine) strand(now float64, coreIdx int, q []Queued) {
+	for i := range q {
+		if q[i].Started {
+			e.res.TasksKilled++
+			e.met.killed.Inc()
 		}
-	}
-	if up == 0 {
-		return 0, false
-	}
-	n := f.targetRng.IntN(up)
-	for idx, d := range f.down {
-		if d {
-			continue
+		if e.fobs != nil {
+			e.fobs.TaskKilled(now, q[i].Task, e.k.CoreID(coreIdx))
 		}
-		if n == 0 {
-			return idx, true
-		}
-		n--
-	}
-	return 0, false // unreachable
-}
-
-// pickAliveNode selects a victim uniformly among alive nodes.
-func (f *faultRuntime) pickAliveNode() (int, bool) {
-	alive := 0
-	for _, d := range f.nodeDead {
-		if !d {
-			alive++
-		}
-	}
-	if alive == 0 {
-		return 0, false
-	}
-	n := f.targetRng.IntN(alive)
-	for node, d := range f.nodeDead {
-		if d {
-			continue
-		}
-		if n == 0 {
-			return node, true
-		}
-		n--
-	}
-	return 0, false // unreachable
-}
-
-func (f *faultRuntime) allNodesDead() bool {
-	for _, d := range f.nodeDead {
-		if !d {
-			return false
-		}
-	}
-	return true
-}
-
-// injectFault applies one failure (transient: coreIdx; permanent: every
-// core of node). Striking an already-down core is counted but changes
-// nothing further.
-func (e *engine) injectFault(now float64, kind fault.Kind, coreIdx, node int, repair float64) {
-	e.res.Faults++
-	e.met.faultInjected(kind)
-	if kind == fault.Permanent {
-		if e.flt.nodeDead[node] {
-			return
-		}
-		e.flt.nodeDead[node] = true
-		for idx, id := range e.cores {
-			if id.Node == node {
-				e.downCore(now, kind, idx, 0)
-			}
-		}
-		return
-	}
-	e.downCore(now, kind, coreIdx, repair)
-}
-
-// downCore takes one core down: kills its queue, hands the stranded tasks
-// to recovery, zeroes its draw, and (for transient faults) schedules the
-// repair.
-func (e *engine) downCore(now float64, kind fault.Kind, coreIdx int, repair float64) {
-	f := e.flt
-	if f.down[coreIdx] {
-		return
-	}
-	f.down[coreIdx] = true
-	f.downAt[coreIdx] = now
-	f.runGen[coreIdx]++ // pending completion (if any) is now stale
-	if e.fobs != nil {
-		e.fobs.CoreFailed(now, e.cores[coreIdx], kind, repair)
-	}
-	q := e.queues[coreIdx]
-	e.queues[coreIdx] = nil
-	e.ftc.Invalidate(coreIdx)
-	if len(q) > 0 {
-		e.inSystem -= len(q)
-		for i := range q {
-			if q[i].started {
-				e.res.TasksKilled++
-				e.met.taskKilled()
-			}
-			if e.fobs != nil {
-				e.fobs.TaskKilled(now, q[i].task, e.cores[coreIdx])
-			}
-			e.recoverTask(now, q[i].task)
-		}
+		e.recoverTask(now, q[i].Task)
 	}
 	if e.cfg.Park.Enabled {
 		e.idleGen[coreIdx]++ // invalidate pending park checks
@@ -300,80 +60,36 @@ func (e *engine) downCore(now float64, kind fault.Kind, coreIdx int, repair floa
 			e.res.ParkedTime += now - e.parkedAt[coreIdx]
 		}
 	}
-	e.meter.SetPower(coreIdx, 0)
-	if e.onDown != nil {
-		e.onDown(coreIdx)
-	}
-	if kind == fault.Transient {
-		e.push(event{time: now + repair, kind: evRepair, idx: coreIdx})
-	}
+	delete(e.idle, coreIdx)
 }
 
-// handleRepair brings a transiently-failed core back: it returns at the
-// idle P-state (or gated, under a parking brownout stage) and becomes
-// eligible for work again.
+// handleRepair brings a transiently-failed core back and makes it eligible
+// for work again.
 func (e *engine) handleRepair(now float64, coreIdx int) {
-	f := e.flt
-	if !f.down[coreIdx] {
+	if !e.k.Repair(now, coreIdx) {
 		return
 	}
-	if f.nodeDead[e.cores[coreIdx].Node] {
-		// The node died permanently while this core's transient repair was
-		// pending; the repair must not resurrect it.
-		return
-	}
-	f.down[coreIdx] = false
-	e.res.DownTime += now - f.downAt[coreIdx]
-	e.meter.ClearPower(coreIdx)
-	e.setPState(now, coreIdx, e.cfg.IdlePState)
-	e.applyIdlePower(coreIdx)
-	if e.fobs != nil {
-		e.fobs.CoreRepaired(now, e.cores[coreIdx])
-	}
-	if e.cfg.Park.Enabled {
-		e.idleGen[coreIdx]++
-		e.push(event{time: now + e.cfg.Park.Timeout, kind: evPark, idx: coreIdx, gen: e.idleGen[coreIdx]})
-	}
-	if e.onUp != nil {
-		e.onUp(now, coreIdx)
+	e.schedulePark(now, coreIdx)
+	if e.policy != nil {
+		e.idle[coreIdx] = true
+		e.dispatch(now)
 	}
 }
 
 // recoverTask routes one stranded task through the recovery policy: either
 // it is lost, or a requeue event is scheduled after the backoff.
 func (e *engine) recoverTask(now float64, task workload.Task) {
-	rec := e.flt.spec.Recovery
-	used := e.flt.attempts[task.ID]
-	if rec.Mode != fault.Requeue || used >= rec.MaxRetries {
-		e.loseTask(task)
-		return
-	}
-	if rec.DeadlineAware && task.Deadline <= now {
-		// Already late: a retry can only burn energy on a missed deadline.
-		e.loseTask(task)
-		return
-	}
-	e.flt.attempts[task.ID] = used + 1
-	delay := rec.Backoff * float64(used+1)
-	if rec.DeadlineAware {
-		if slack := task.Deadline - now; delay > slack/2 {
-			delay = slack / 2
+	used := e.attempts[task.ID]
+	if _, ok := e.k.Requeue(now, task, used, task.ID); !ok {
+		e.res.LostToFailure++
+		e.met.failed.Inc()
+		if e.cfg.Trace {
+			e.res.Traces[task.ID].Outcome = OutcomeFailed
 		}
+		return
 	}
-	if e.fobs != nil {
-		e.fobs.TaskRequeued(now, task, used+1)
-	}
+	e.attempts[task.ID] = used + 1
 	e.pendingReq++
-	e.push(event{time: now + delay, kind: evRequeue, idx: task.ID})
-}
-
-// loseTask records a task as lost to failure.
-func (e *engine) loseTask(task workload.Task) {
-	e.res.LostToFailure++
-	e.met.taskFailed()
-	if e.cfg.Trace {
-		e.res.Traces[task.ID].Outcome = OutcomeFailed
-	}
 }
 
 // handleRequeue re-dispatches a previously-stranded task. In immediate mode
@@ -384,57 +100,16 @@ func (e *engine) loseTask(task workload.Task) {
 func (e *engine) handleRequeue(now float64, taskID int) {
 	e.pendingReq--
 	e.res.Retries++
-	e.met.taskRequeued()
+	e.met.requeues.Inc()
 	task := e.trial.Tasks[taskID]
-	if e.redispatch != nil {
-		e.redispatch(now, task)
+	if e.policy != nil {
+		e.pool = append(e.pool, task)
+		e.dispatch(now)
 		return
 	}
-	ctx := &sched.Context{
-		Now:           now,
-		Task:          task,
-		Model:         e.cfg.Model,
-		Calc:          e.calc,
-		EnergyLeft:    e.energyLeft,
-		TasksLeft:     len(e.trial.Tasks) - e.arrived,
-		AvgQueueDepth: float64(e.inSystem) / float64(len(e.cores)),
-		Rand:          e.rand,
-		Counters:      e.met.schedCounters(),
-	}
-	e.decorateCtx(ctx)
-	cands := sched.BuildCandidates(ctx, e)
-	var chosen *sched.Candidate
-	if len(cands) > 0 {
-		chosen = e.cfg.Mapper.Map(ctx, cands)
-	}
-	if chosen == nil {
-		e.recoverTask(now, task)
+	if chosen := e.decide(now, task, len(e.trial.Tasks)-e.arrived); chosen != nil {
+		e.place(now, task, chosen)
 		return
 	}
-	// The retry charges the energy estimate again (the first attempt's
-	// joules are genuinely gone) and counts as a fresh mapping decision,
-	// matching the central engine where a requeued task re-enters the pool.
-	e.res.Mapped++
-	e.met.taskMapped()
-	e.energyLeft -= chosen.EEC
-	// Audit the retry decision before enqueueing, same as arrive(): the
-	// prediction is evaluated against the pre-enqueue queue snapshot.
-	if e.dobs != nil {
-		e.dobs.TaskDecision(now, task, chosen.Assignment, chosen.Predict(), chosen.EEC)
-	}
-	actual := e.cfg.Model.ActualExecTime(task, chosen.Core.Node, chosen.PState)
-	idx := chosen.CoreIdx
-	e.queues[idx] = append(e.queues[idx], queued{task: task, pstate: chosen.PState, actual: actual})
-	e.ftc.OnEnqueue(idx, chosen.Core.Node, task.Type, chosen.PState, len(e.queues[idx]))
-	e.inSystem++
-	if e.cfg.Trace {
-		tr := &e.res.Traces[taskID]
-		tr.Mapped = true
-		tr.Assignment = chosen.Assignment
-		tr.Outcome = OutcomeUnfinished // pending again until it completes
-	}
-	e.cfg.Observer.TaskMapped(now, task, chosen.Assignment)
-	if len(e.queues[idx]) == 1 {
-		e.start(now, idx)
-	}
+	e.recoverTask(now, task)
 }

@@ -227,8 +227,8 @@ func (m *MultiObserver) TaskDecision(t float64, task workload.Task, a sched.Assi
 var backlogBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // simMetrics is the engine's prepared instrumentation: handles registered
-// once in Run, bumped on the event loop. A nil *simMetrics (no registry
-// attached) makes every method a no-op.
+// once in Run, bumped on the event loop. Without a registry every handle
+// is nil, and the metrics types make updates through a nil handle no-ops.
 type simMetrics struct {
 	events        [numEventKinds]*metrics.Counter // indexed by event kind
 	heapHW        *metrics.Max
@@ -249,19 +249,20 @@ type simMetrics struct {
 	sched         *sched.Counters
 }
 
-// newSimMetrics registers the simulator's instruments.
-func newSimMetrics(r *metrics.Registry) *simMetrics {
+// newSimMetrics registers the simulator's instruments (none without a
+// registry).
+func newSimMetrics(r *metrics.Registry) simMetrics {
 	if r == nil {
-		return nil
+		return simMetrics{}
 	}
-	return &simMetrics{
+	return simMetrics{
 		events: [numEventKinds]*metrics.Counter{
-			evCompletion: r.Counter("sim_events_total", metrics.L("kind", "completion")),
-			evArrival:    r.Counter("sim_events_total", metrics.L("kind", "arrival")),
-			evPark:       r.Counter("sim_events_total", metrics.L("kind", "park")),
-			evFault:      r.Counter("sim_events_total", metrics.L("kind", "fault")),
-			evRepair:     r.Counter("sim_events_total", metrics.L("kind", "repair")),
-			evRequeue:    r.Counter("sim_events_total", metrics.L("kind", "requeue")),
+			EvCompletion: r.Counter("sim_events_total", metrics.L("kind", "completion")),
+			EvArrival:    r.Counter("sim_events_total", metrics.L("kind", "arrival")),
+			EvPark:       r.Counter("sim_events_total", metrics.L("kind", "park")),
+			EvFault:      r.Counter("sim_events_total", metrics.L("kind", "fault")),
+			EvRepair:     r.Counter("sim_events_total", metrics.L("kind", "repair")),
+			EvRequeue:    r.Counter("sim_events_total", metrics.L("kind", "requeue")),
 		},
 		heapHW:    r.Max("sim_event_heap_high_water"),
 		backlog:   r.Histogram("sim_backlog_depth", backlogBuckets),
@@ -282,109 +283,4 @@ func newSimMetrics(r *metrics.Registry) *simMetrics {
 		brownoutTrans: r.Counter("sim_brownout_transitions_total"),
 		brownoutGauge: r.Gauge("sim_brownout_stage"),
 	}
-}
-
-// event records one processed event and the backlog observed at it.
-func (m *simMetrics) event(kind, backlog int) {
-	if m == nil {
-		return
-	}
-	m.events[kind].Inc()
-	m.backlog.Observe(float64(backlog))
-}
-
-func (m *simMetrics) heapDepth(n int) {
-	if m == nil {
-		return
-	}
-	m.heapHW.Observe(float64(n))
-}
-
-func (m *simMetrics) taskMapped() {
-	if m == nil {
-		return
-	}
-	m.mapped.Inc()
-}
-
-func (m *simMetrics) taskDiscarded() {
-	if m == nil {
-		return
-	}
-	m.discarded.Inc()
-}
-
-func (m *simMetrics) taskFinished(onTime bool) {
-	if m == nil {
-		return
-	}
-	if onTime {
-		m.onTime.Inc()
-	} else {
-		m.late.Inc()
-	}
-}
-
-func (m *simMetrics) taskCancelled() {
-	if m == nil {
-		return
-	}
-	m.cancelled.Inc()
-}
-
-func (m *simMetrics) faultInjected(kind fault.Kind) {
-	if m == nil {
-		return
-	}
-	m.faults[kind].Inc()
-}
-
-func (m *simMetrics) taskKilled() {
-	if m == nil {
-		return
-	}
-	m.killed.Inc()
-}
-
-func (m *simMetrics) taskRequeued() {
-	if m == nil {
-		return
-	}
-	m.requeues.Inc()
-}
-
-func (m *simMetrics) taskFailed() {
-	if m == nil {
-		return
-	}
-	m.failed.Inc()
-}
-
-func (m *simMetrics) brownoutStage(stage int) {
-	if m == nil {
-		return
-	}
-	m.brownoutTrans.Inc()
-	m.brownoutGauge.Set(float64(stage))
-}
-
-func (m *simMetrics) energyExhausted() {
-	if m == nil {
-		return
-	}
-	m.exhausted.Inc()
-}
-
-func (m *simMetrics) finish(makespan float64) {
-	if m == nil {
-		return
-	}
-	m.makespan.Observe(makespan)
-}
-
-func (m *simMetrics) schedCounters() *sched.Counters {
-	if m == nil {
-		return nil
-	}
-	return m.sched
 }

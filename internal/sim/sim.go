@@ -8,11 +8,9 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
@@ -263,81 +261,18 @@ type Result struct {
 	Traces []TaskTrace
 }
 
-// queued is one task occupying a core.
-type queued struct {
-	task    workload.Task
-	pstate  cluster.PState
-	actual  float64 // realized execution time, fixed at map time
-	started bool
-	startAt float64
-}
-
-// event kinds, in tie-break priority order at equal times: completions
-// free cores before a simultaneous arrival is mapped, and a core is handed
-// work before a simultaneous park fires. The fault kinds sort after the
-// paper's kinds so that, at equal times, normal progress happens before the
-// failure strikes, a repair lands after the fault that caused it, and a
-// requeued task re-enters the mapper last.
-const (
-	evCompletion = iota
-	evArrival
-	evPark
-	evFault
-	evRepair
-	evRequeue
-	numEventKinds
-)
-
-type event struct {
-	time float64
-	kind int
-	idx  int // task index for arrivals/requeues, core index for completions/
-	// parks/repairs, fault-source index for faults
-	gen int // generation: stale park and (post-failure) completion events
-	// are ignored
-	seq int
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// engine is the run state; it implements sched.SystemView.
+// engine is one simulation run: the trial driver around a Kernel.
 type engine struct {
 	cfg       Config
 	ctx       context.Context
 	processed int // events handled, for periodic cancellation checks
 	trial     *workload.Trial
 	calc      *robustness.Calculator
-	ftc       *robustness.FreeTimeEngine
 	meter     *energy.Meter
 	rand      *randx.Stream
-	cores     []cluster.CoreID
-	queues    [][]queued
-	events    eventHeap
-	seq       int
-
-	// Per-decision scratch: the scheduler arena and per-core queue-snapshot
-	// buffers Queue() reuses. Safe because snapshots are decision-scoped —
-	// their only consumers, the candidate shares, are overwritten before
-	// the next decision reads them.
-	arena *sched.Arena
-	qbuf  sched.QueueSnapshots
+	k         *Kernel
 
 	energyLeft    float64 // heuristic estimate ζ(t_l)
-	inSystem      int     // mapped, not yet completed
 	depthIntegral float64 // ∫ inSystem dt
 	lastT         float64
 
@@ -346,60 +281,28 @@ type engine struct {
 	idleGen   []int // invalidates stale park events
 	parkedAt  []float64
 
-	arrived int           // arrival events processed, for requeue T_left
-	flt     *faultRuntime // nil when fault injection is disabled
-	bro     *energy.Brownout
+	arrived  int         // arrival events processed, for requeue T_left
+	attempts map[int]int // fault requeues consumed per task ID; nil without faults
 	// Cached context decorations so fault-enabled dispatch does not
 	// allocate per arrival; nil when faults are disabled.
 	coreUpFn func(int) bool
 	availFn  func(int) float64
 
-	// Central-queue hooks, set only in central mode: the shared fault
-	// handlers call them so pool accounting and the idle-core set stay
-	// consistent with core up/down state.
-	onDown     func(coreIdx int)
-	onUp       func(now float64, coreIdx int)
-	redispatch func(now float64, task workload.Task)
-	poolLen    func() int
+	// Central-queue mode (Config.CentralQueue set): the cluster-wide pool
+	// of unassigned tasks and the idle cores waiting on it. The fault
+	// handlers keep both consistent with core up/down state.
+	policy PullPolicy
+	pool   []workload.Task
+	idle   map[int]bool
 
 	pendingReq int // requeue events in flight, for fault-loop termination
 
-	met  *simMetrics    // nil when Config.Metrics is nil
-	eobs EnergyObserver // non-nil when the observer wants energy samples
-	fobs FaultObserver  // non-nil when the observer wants fault events
-	bobs BrownoutObserver
+	met  simMetrics       // all-nil handles when Config.Metrics is nil
+	eobs EnergyObserver   // non-nil when the observer wants energy samples
+	fobs FaultObserver    // non-nil when the observer wants fault events
 	dobs DecisionObserver // non-nil when the observer audits decisions
 
 	res *Result
-}
-
-var _ sched.SystemView = (*engine)(nil)
-
-// NumCores implements sched.SystemView.
-func (e *engine) NumCores() int { return len(e.cores) }
-
-// CoreID implements sched.SystemView.
-func (e *engine) CoreID(idx int) cluster.CoreID { return e.cores[idx] }
-
-// Queue implements sched.SystemView: a snapshot of the core's occupancy,
-// built into a reusable per-core buffer (snapshots are decision-scoped).
-func (e *engine) Queue(idx int) robustness.CoreQueue {
-	q := e.queues[idx]
-	cq := robustness.CoreQueue{Node: e.cores[idx].Node}
-	if len(q) == 0 {
-		return cq
-	}
-	cq.Tasks = e.qbuf.Take(idx, len(q))
-	for i, t := range q {
-		cq.Tasks[i] = robustness.QueuedTask{
-			Type:     t.task.Type,
-			PState:   t.pstate,
-			Deadline: t.task.Deadline,
-			Started:  t.started,
-			StartAt:  t.startAt,
-		}
-	}
-	return cq
 }
 
 // Run executes one trial under the configuration. decisions seeds the
@@ -434,12 +337,6 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 	if decisions == nil {
 		return nil, errors.New("sim: nil decision stream")
 	}
-	if cfg.IdlePState == 0 {
-		cfg.IdlePState = cluster.P4
-	}
-	if !cfg.IdlePState.Valid() {
-		return nil, fmt.Errorf("sim: invalid idle P-state %d", cfg.IdlePState)
-	}
 	if cfg.PowerCV < 0 {
 		return nil, fmt.Errorf("sim: PowerCV %v must be >= 0", cfg.PowerCV)
 	}
@@ -450,79 +347,58 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 		return nil, errors.New("sim: VerifyEnergy is incompatible with the PowerCV/Park extensions (Eq. 1 replay knows only P-state table powers)")
 	}
 	faultsOn := cfg.Faults.Enabled()
-	if faultsOn {
-		if err := cfg.Faults.Validate(cfg.Model.Cluster.TotalCores(), cfg.Model.Cluster.N()); err != nil {
-			return nil, err
+	if cfg.VerifyEnergy && faultsOn {
+		return nil, errors.New("sim: VerifyEnergy is incompatible with fault injection (downed cores draw zero watts via power overrides)")
+	}
+	for _, st := range cfg.Brownout {
+		if st.ParkIdle && cfg.VerifyEnergy {
+			return nil, errors.New("sim: VerifyEnergy is incompatible with brownout idle parking (power overrides)")
 		}
-		if cfg.VerifyEnergy {
-			return nil, errors.New("sim: VerifyEnergy is incompatible with fault injection (downed cores draw zero watts via power overrides)")
-		}
-	}
-	if len(cfg.Brownout) > 0 {
-		if err := energy.ValidateBrownoutStages(cfg.Brownout); err != nil {
-			return nil, err
-		}
-		for _, st := range cfg.Brownout {
-			if st.ParkIdle && cfg.VerifyEnergy {
-				return nil, errors.New("sim: VerifyEnergy is incompatible with brownout idle parking (power overrides)")
-			}
-		}
-	}
-	budget := cfg.EnergyBudget
-	if budget == 0 {
-		budget = math.Inf(1)
-	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("sim: energy budget %v must be positive (use +Inf to disable)", budget)
-	}
-	if len(cfg.Brownout) > 0 && math.IsInf(budget, 1) {
-		return nil, errors.New("sim: brownout requires a finite energy budget")
-	}
-	meter, err := energy.NewMeter(cfg.Model.Cluster, cfg.IdlePState, budget, cfg.VerifyEnergy)
-	if err != nil {
-		return nil, err
 	}
 	if cfg.Observer == nil {
 		cfg.Observer = NopObserver{}
 	}
 
 	e := &engine{
-		cfg:        cfg,
-		ctx:        ctx,
-		trial:      trial,
-		calc:       robustness.NewCalculator(cfg.Model),
-		meter:      meter,
-		rand:       decisions,
-		cores:      cfg.Model.Cluster.Cores(),
-		queues:     make([][]queued, cfg.Model.Cluster.TotalCores()),
-		energyLeft: budget,
+		cfg:   cfg,
+		ctx:   ctx,
+		trial: trial,
+		calc:  robustness.NewCalculator(cfg.Model),
+		rand:  decisions,
+		met:   newSimMetrics(cfg.Metrics),
 		res: &Result{
 			Window: len(trial.Tasks),
 		},
 	}
-	e.ftc = robustness.NewFreeTimeEngine(e.calc, len(e.queues))
-	e.arena = sched.NewArena()
-	e.qbuf = sched.NewQueueSnapshots(len(e.queues))
-	if eo, ok := cfg.Observer.(EnergyObserver); ok {
-		e.eobs = eo
+	kc := KernelConfig{
+		Model:        cfg.Model,
+		Calc:         e.calc,
+		Budget:       cfg.EnergyBudget,
+		IdlePState:   cfg.IdlePState,
+		VerifyEnergy: cfg.VerifyEnergy,
+		Observer:     cfg.Observer,
+		Faults:       cfg.Faults,
+		Brownout:     cfg.Brownout,
 	}
-	if fo, ok := cfg.Observer.(FaultObserver); ok {
-		e.fobs = fo
+	if faultsOn {
+		kc.FaultStreams = NewFaultStreams(decisions.Child("fault"))
 	}
-	if bo, ok := cfg.Observer.(BrownoutObserver); ok {
-		e.bobs = bo
+	kc.HeapHighWater = e.met.heapHW
+	k, err := NewKernel(kc)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if do, ok := cfg.Observer.(DecisionObserver); ok {
-		e.dobs = do
-	}
+	e.k, e.meter, e.energyLeft = k, k.Meter(), k.Meter().Budget()
+	e.eobs, _ = cfg.Observer.(EnergyObserver)
+	e.fobs, _ = cfg.Observer.(FaultObserver)
+	e.dobs, _ = cfg.Observer.(DecisionObserver)
 	if cfg.Metrics != nil {
 		var filters []sched.Filter
 		if cfg.Mapper != nil {
 			filters = cfg.Mapper.Filters
 		}
-		e.met = newSimMetrics(cfg.Metrics)
 		e.met.sched = sched.NewCounters(cfg.Metrics, filters)
-		e.met.sched.InstrumentFreeTimes(e.ftc)
+		e.met.sched.InstrumentFreeTimes(e.k.FreeTimes())
 		e.calc.Instrument(
 			cfg.Metrics.Counter("robustness_freetime_evals_total"),
 			cfg.Metrics.Counter("robustness_completion_evals_total"))
@@ -540,60 +416,34 @@ func RunContext(ctx context.Context, cfg Config, trial *workload.Trial, decision
 	if cfg.PowerCV > 0 {
 		e.powerRand = decisions.Child("power")
 	}
+	n := e.k.NumCores()
 	if cfg.Park.Enabled {
-		e.parked = make([]bool, len(e.queues))
-		e.idleGen = make([]int, len(e.queues))
-		e.parkedAt = make([]float64, len(e.queues))
+		e.parked = make([]bool, n)
+		e.idleGen = make([]int, n)
+		e.parkedAt = make([]float64, n)
 		// Every core is idle at t=0; schedule the initial park checks.
-		for i := range e.queues {
-			e.push(event{time: cfg.Park.Timeout, kind: evPark, idx: i, gen: 0})
+		for i := 0; i < n; i++ {
+			e.k.Push(Event{Time: cfg.Park.Timeout, Kind: EvPark, Idx: i})
 		}
 	}
 	if faultsOn {
-		e.initFaults(decisions)
-	}
-	if len(cfg.Brownout) > 0 {
-		// Validated above; NewBrownout re-checks but cannot fail here.
-		e.bro, _ = energy.NewBrownout(cfg.Brownout)
+		e.initFaults()
 	}
 	for i, t := range trial.Tasks {
-		e.push(event{time: t.Arrival, kind: evArrival, idx: i})
+		e.k.Push(Event{Time: t.Arrival, Kind: EvArrival, Idx: i})
 	}
 	if cfg.CentralQueue != nil {
-		ce := &centralEngine{engine: e, policy: cfg.CentralQueue, idle: make(map[int]bool, len(e.queues))}
-		for i := range e.queues {
-			ce.idle[i] = true
+		e.policy = cfg.CentralQueue
+		e.idle = make(map[int]bool, n)
+		for i := 0; i < n; i++ {
+			e.idle[i] = true
 		}
-		if faultsOn {
-			e.onDown = func(coreIdx int) { delete(ce.idle, coreIdx) }
-			e.onUp = func(now float64, coreIdx int) {
-				ce.idle[coreIdx] = true
-				ce.dispatch(now)
-			}
-			e.redispatch = func(now float64, task workload.Task) {
-				ce.pool = append(ce.pool, task)
-				ce.dispatch(now)
-			}
-			e.poolLen = func() int { return len(ce.pool) }
-		}
-		if err := ce.loopCentral(); err != nil {
-			return nil, err
-		}
-		ce.finalize()
-		return ce.res, nil
 	}
 	if err := e.loop(); err != nil {
 		return nil, err
 	}
 	e.finalize()
 	return e.res, nil
-}
-
-func (e *engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	heap.Push(&e.events, ev)
-	e.met.heapDepth(e.events.Len())
 }
 
 // cancelCheckMask throttles context polls to one per 64 processed events:
@@ -614,100 +464,130 @@ func (e *engine) checkCancelled() error {
 }
 
 func (e *engine) loop() error {
-	for e.events.Len() > 0 {
+	for e.k.Pending() > 0 {
 		if err := e.checkCancelled(); err != nil {
 			return err
 		}
-		ev := heap.Pop(&e.events).(event)
-		if ev.kind == evFault && !e.faultWorkRemains() {
+		ev := e.k.Pop()
+		if ev.Kind == EvFault && !e.faultWorkRemains() {
 			// Trailing fault beyond the last resolvable task: dropping it
 			// (before the meter advances) is what lets the loop drain — the
 			// stochastic processes otherwise reschedule forever.
 			continue
 		}
-		e.depthIntegral += float64(e.inSystem) * (ev.time - e.lastT)
-		e.lastT = ev.time
-		at, exhausted := e.meter.Advance(ev.time)
-		e.sampleEnergy(at)
-		if exhausted {
-			e.res.EnergyExhausted = true
-			e.res.ExhaustedAt = at
-			e.res.Makespan = at
-			e.met.energyExhausted()
-			e.cfg.Observer.EnergyExhausted(at)
+		backlog := e.k.InSystem() + len(e.pool)
+		e.depthIntegral += float64(backlog) * (ev.Time - e.lastT)
+		if e.advance(ev.Time) {
 			return nil
 		}
-		e.checkBrownout(at)
-		e.met.event(ev.kind, e.inSystem)
-		switch ev.kind {
-		case evArrival:
+		e.met.events[ev.Kind].Inc()
+		e.met.backlog.Observe(float64(backlog))
+		switch ev.Kind {
+		case EvArrival:
 			e.arrived++
-			e.arrive(ev.time, ev.idx)
-		case evCompletion:
-			if !e.staleCompletion(ev) {
-				e.complete(ev.time, ev.idx)
+			e.arrive(ev.Time, ev.Idx)
+		case EvCompletion:
+			if e.k.Current(ev) {
+				e.complete(ev.Time, ev.Idx)
 			}
-		case evPark:
-			e.park(ev.idx, ev.gen)
-		case evFault:
-			e.handleFault(ev.time, ev.idx)
-		case evRepair:
-			e.handleRepair(ev.time, ev.idx)
-		case evRequeue:
-			e.handleRequeue(ev.time, ev.idx)
+		case EvPark:
+			e.park(ev.Idx, ev.Gen)
+		case EvFault:
+			e.handleFault(ev.Time, ev.Idx)
+		case EvRepair:
+			e.handleRepair(ev.Time, ev.Idx)
+		case EvRequeue:
+			e.handleRequeue(ev.Time, ev.Idx)
 		}
-		e.res.Makespan = ev.time
+		e.res.Makespan = ev.Time
 	}
 	return nil
 }
 
-// staleCompletion reports whether a completion event refers to an execution
-// that a failure already killed (the core's run generation moved on).
-func (e *engine) staleCompletion(ev event) bool {
-	return e.flt != nil && ev.gen != e.flt.runGen[ev.idx]
-}
-
-// sampleEnergy forwards one energy-meter trajectory point to the observer
-// if it asked for them.
-func (e *engine) sampleEnergy(t float64) {
+// advance moves the meter to an event instant, forwarding the energy
+// sample, and reports whether ζ_max ran out on the way (the run halts at
+// the exhaustion instant). Otherwise the brownout automaton catches up.
+func (e *engine) advance(t float64) bool {
+	e.lastT = t
+	at, exhausted := e.meter.Advance(t)
 	if e.eobs != nil {
-		e.eobs.EnergySample(t, e.meter.Consumed(), e.meter.Rate())
+		e.eobs.EnergySample(at, e.meter.Consumed(), e.meter.Rate())
 	}
+	if exhausted {
+		e.res.EnergyExhausted = true
+		e.res.ExhaustedAt = at
+		e.res.Makespan = at
+		e.met.exhausted.Inc()
+		e.cfg.Observer.EnergyExhausted(at)
+		return true
+	}
+	if stage, changed := e.k.UpdateBrownout(at); changed {
+		e.res.BrownoutStage = stage
+		e.met.brownoutTrans.Inc()
+		e.met.brownoutGauge.Set(float64(stage))
+	}
+	return false
 }
 
-// arrive maps one task in immediate mode.
+// arrive maps one task in immediate mode, or pools it in central mode.
 func (e *engine) arrive(now float64, taskIdx int) {
 	task := e.trial.Tasks[taskIdx]
-	ctx := &sched.Context{
-		Now:           now,
-		Task:          task,
-		Model:         e.cfg.Model,
-		Calc:          e.calc,
-		EnergyLeft:    e.energyLeft,
-		TasksLeft:     len(e.trial.Tasks) - taskIdx - 1,
-		AvgQueueDepth: float64(e.inSystem) / float64(len(e.cores)),
-		Rand:          e.rand,
-		Counters:      e.met.schedCounters(),
+	if e.policy != nil {
+		e.pool = append(e.pool, task)
+		e.dispatch(now)
+		return
 	}
-	e.decorateCtx(ctx)
-	cands := sched.BuildCandidates(ctx, e)
-	// With every core down the candidate set is empty; Mapper.Map expects a
-	// non-empty set when it reaches the heuristic, so discard directly.
-	var chosen *sched.Candidate
-	if len(cands) > 0 {
-		chosen = e.cfg.Mapper.Map(ctx, cands)
-	}
+	chosen := e.decide(now, task, len(e.trial.Tasks)-taskIdx-1)
 	if chosen == nil {
 		e.res.Discarded++
-		e.met.taskDiscarded()
+		e.met.discarded.Inc()
 		if e.cfg.Trace {
 			e.res.Traces[taskIdx].Outcome = OutcomeDiscarded
 		}
 		e.cfg.Observer.TaskDiscarded(now, task)
 		return
 	}
+	e.place(now, task, chosen)
+}
+
+// decide runs the mapper for one task (an arrival, or a fault retry) and
+// returns its choice, nil when the filters emptied the feasible set. With
+// every core down the candidate set is empty; Mapper.Map expects a
+// non-empty set when it reaches the heuristic, so that is nil directly.
+func (e *engine) decide(now float64, task workload.Task, tasksLeft int) *sched.Candidate {
+	ctx := &sched.Context{
+		Now:           now,
+		Task:          task,
+		Model:         e.cfg.Model,
+		Calc:          e.calc,
+		EnergyLeft:    e.energyLeft,
+		TasksLeft:     tasksLeft,
+		AvgQueueDepth: float64(e.k.InSystem()) / float64(e.k.NumCores()),
+		Rand:          e.rand,
+		Counters:      e.met.sched,
+	}
+	e.k.Decorate(ctx)
+	if e.coreUpFn != nil {
+		// Down cores drop out of candidate enumeration; availability
+		// discounts ρ for the reliability filter.
+		ctx.CoreUp = e.coreUpFn
+		ctx.Availability = e.availFn
+	}
+	cands := sched.BuildCandidates(ctx, e.k)
+	if len(cands) == 0 {
+		return nil
+	}
+	return e.cfg.Mapper.Map(ctx, cands)
+}
+
+// place commits a mapping decision: it charges the energy estimate, audits
+// the decision, and enqueues the task, starting it on an idle core. A
+// fault retry counts as a fresh mapping and charges the estimate again
+// (the first attempt's joules are genuinely gone), matching the central
+// engine where a requeued task re-enters the pool.
+func (e *engine) place(now float64, task workload.Task, chosen *sched.Candidate) {
 	e.res.Mapped++
-	e.met.taskMapped()
+	e.met.mapped.Inc()
 	e.energyLeft -= chosen.EEC
 	// Predict() convolves against the queue snapshot captured by
 	// BuildCandidates, so the decision must be audited before the chosen
@@ -715,29 +595,22 @@ func (e *engine) arrive(now float64, taskIdx int) {
 	if e.dobs != nil {
 		e.dobs.TaskDecision(now, task, chosen.Assignment, chosen.Predict(), chosen.EEC)
 	}
-	actual := e.cfg.Model.ActualExecTime(task, chosen.Core.Node, chosen.PState)
-	q := queued{task: task, pstate: chosen.PState, actual: actual}
-	idx := chosen.CoreIdx
-	e.queues[idx] = append(e.queues[idx], q)
-	e.ftc.OnEnqueue(idx, chosen.Core.Node, task.Type, chosen.PState, len(e.queues[idx]))
-	e.inSystem++
 	if e.cfg.Trace {
-		tr := &e.res.Traces[taskIdx]
+		tr := &e.res.Traces[task.ID]
 		tr.Mapped = true
 		tr.Assignment = chosen.Assignment
+		tr.Outcome = OutcomeUnfinished // a retry is pending again until it completes
 	}
-	e.cfg.Observer.TaskMapped(now, task, chosen.Assignment)
-	if len(e.queues[idx]) == 1 {
-		e.start(now, idx)
+	actual := e.cfg.Model.ActualExecTime(task, chosen.Core.Node, chosen.PState)
+	if e.k.Enqueue(now, chosen.Assignment, Queued{Task: task, PState: chosen.PState, Actual: actual}) {
+		e.start(now, chosen.CoreIdx)
 	}
 }
 
-// start begins executing the head of the core's queue: the core (idle at
-// this instant) transitions to the task's P-state and a completion event is
-// scheduled at the realized finish time.
+// start begins executing the head of the core's queue, waking a parked
+// core first (the wake latency delays the completion) and drawing the
+// execution's power under the PowerCV extension.
 func (e *engine) start(now float64, coreIdx int) {
-	e.ftc.Invalidate(coreIdx) // the head gains Started/StartAt
-	head := &e.queues[coreIdx][0]
 	wake := 0.0
 	if e.cfg.Park.Enabled {
 		e.idleGen[coreIdx]++ // invalidate any pending park check
@@ -748,110 +621,79 @@ func (e *engine) start(now float64, coreIdx int) {
 			wake = e.cfg.Park.WakeLatency
 		}
 	}
-	e.setPState(now, coreIdx, head.pstate)
+	head := e.k.Start(now, coreIdx, wake)
 	if e.cfg.PowerCV > 0 {
-		node := e.cfg.Model.Cluster.Node(e.cores[coreIdx])
+		node := e.cfg.Model.Cluster.Node(e.k.CoreID(coreIdx))
 		factor := e.powerRand.GammaMeanCV(1, e.cfg.PowerCV)
-		e.meter.SetPower(coreIdx, node.Power[head.pstate]*factor)
+		e.meter.SetPower(coreIdx, node.Power[head.PState]*factor)
 	}
-	head.started = true
-	head.startAt = now
 	if e.cfg.Trace {
-		e.res.Traces[head.task.ID].Start = now
+		e.res.Traces[head.Task.ID].Start = now
 	}
-	e.cfg.Observer.TaskStarted(now, head.task, e.assignment(coreIdx, head.pstate))
-	gen := 0
-	if e.flt != nil {
-		gen = e.flt.runGen[coreIdx]
-	}
-	e.push(event{time: now + wake + head.actual, kind: evCompletion, idx: coreIdx, gen: gen})
 }
 
 // park power-gates a core if it is still idle and the check is current.
 func (e *engine) park(coreIdx, gen int) {
-	if !e.cfg.Park.Enabled || e.parked[coreIdx] || gen != e.idleGen[coreIdx] || len(e.queues[coreIdx]) > 0 {
+	if !e.cfg.Park.Enabled || e.parked[coreIdx] || gen != e.idleGen[coreIdx] || len(e.k.Tasks(coreIdx)) > 0 {
 		return
 	}
-	if e.coreDown(coreIdx) {
+	if e.k.Down(coreIdx) {
 		return // a failed core already draws nothing; keep the 0 W override
 	}
 	e.parked[coreIdx] = true
 	e.parkedAt[coreIdx] = e.meter.Now()
-	node := e.cfg.Model.Cluster.Node(e.cores[coreIdx])
+	node := e.cfg.Model.Cluster.Node(e.k.CoreID(coreIdx))
 	e.meter.SetPower(coreIdx, e.cfg.Park.PowerFrac*node.Power[cluster.P4])
 }
 
-// setPState changes a core's P-state through the meter and notifies the
-// observer of real transitions only. When a power override is active the
-// meter call must happen even at an unchanged P-state, so the override is
-// cleared and the core charges table power again (previously the early
-// return left e.g. a parked core's retention power active while it
-// executed a task at the idle P-state).
-func (e *engine) setPState(now float64, coreIdx int, ps cluster.PState) {
-	changed := e.meter.PStateOf(coreIdx) != ps
-	if !changed && !e.meter.Overridden(coreIdx) {
-		return
+// schedulePark arms the parking extension's idle timeout for a core that
+// just went idle.
+func (e *engine) schedulePark(now float64, coreIdx int) {
+	if e.cfg.Park.Enabled {
+		e.idleGen[coreIdx]++
+		e.k.Push(Event{Time: now + e.cfg.Park.Timeout, Kind: EvPark, Idx: coreIdx, Gen: e.idleGen[coreIdx]})
 	}
-	e.meter.SetPState(coreIdx, ps)
-	if changed {
-		e.cfg.Observer.PStateChanged(now, e.cores[coreIdx], ps)
-	}
-}
-
-// assignment reconstructs the sched.Assignment of a core's current task.
-func (e *engine) assignment(coreIdx int, ps cluster.PState) sched.Assignment {
-	return sched.Assignment{Core: e.cores[coreIdx], CoreIdx: coreIdx, PState: ps}
 }
 
 // complete retires the head of the core's queue and starts the next task
-// (or parks the core in the idle P-state).
+// (or idles the core).
 func (e *engine) complete(now float64, coreIdx int) {
-	q := e.queues[coreIdx]
-	head := q[0]
-	e.queues[coreIdx] = q[1:]
-	// One version bump covers the head pop and any overdue-waiting drops
-	// below: no free-time query can run before the queue settles.
-	e.ftc.Invalidate(coreIdx)
-	e.inSystem--
-	onTime := now <= head.task.Deadline
+	head, onTime := e.k.Retire(now, coreIdx)
 	if onTime {
 		e.res.OnTime++
-		e.res.WeightedOnTime += head.task.Priority
-		if e.cfg.Trace {
-			e.res.Traces[head.task.ID].Outcome = OutcomeOnTime
-		}
+		e.res.WeightedOnTime += head.Task.Priority
+		e.met.onTime.Inc()
 	} else {
 		e.res.Late++
-		if e.cfg.Trace {
-			e.res.Traces[head.task.ID].Outcome = OutcomeLate
-		}
+		e.met.late.Inc()
 	}
-	e.met.taskFinished(onTime)
-	e.cfg.Observer.TaskFinished(now, head.task, e.assignment(coreIdx, head.pstate), onTime)
 	if e.cfg.Trace {
-		e.res.Traces[head.task.ID].Finish = now
+		tr := &e.res.Traces[head.Task.ID]
+		tr.Outcome = OutcomeLate
+		if onTime {
+			tr.Outcome = OutcomeOnTime
+		}
+		tr.Finish = now
 	}
 	if e.cfg.CancelOverdueWaiting {
-		for len(e.queues[coreIdx]) > 0 && e.queues[coreIdx][0].task.Deadline < now {
-			dropped := e.queues[coreIdx][0]
-			e.queues[coreIdx] = e.queues[coreIdx][1:]
-			e.inSystem--
+		for q := e.k.Tasks(coreIdx); len(q) > 0 && q[0].Task.Deadline < now; q = e.k.Tasks(coreIdx) {
+			e.k.SetTasks(coreIdx, q[1:])
 			e.res.Cancelled++
-			e.met.taskCancelled()
+			e.met.cancelled.Inc()
 			if e.cfg.Trace {
-				e.res.Traces[dropped.task.ID].Outcome = OutcomeCancelled
+				e.res.Traces[q[0].Task.ID].Outcome = OutcomeCancelled
 			}
 		}
 	}
-	if len(e.queues[coreIdx]) > 0 {
+	if len(e.k.Tasks(coreIdx)) > 0 {
 		e.start(now, coreIdx)
-	} else {
-		e.setPState(now, coreIdx, e.cfg.IdlePState)
-		e.applyIdlePower(coreIdx)
-		if e.cfg.Park.Enabled {
-			e.idleGen[coreIdx]++
-			e.push(event{time: now + e.cfg.Park.Timeout, kind: evPark, idx: coreIdx, gen: e.idleGen[coreIdx]})
-		}
+		return
+	}
+	e.k.Idle(now, coreIdx)
+	e.schedulePark(now, coreIdx)
+	if e.policy != nil {
+		e.idle[coreIdx] = true
+		e.dispatch(now)
 	}
 }
 
@@ -859,13 +701,7 @@ func (e *engine) finalize() {
 	r := e.res
 	r.Missed = r.Window - r.OnTime
 	r.Unfinished = r.Window - r.OnTime - r.Late - r.Discarded - r.Cancelled - r.LostToFailure
-	if e.flt != nil {
-		for i, down := range e.flt.down {
-			if down {
-				r.DownTime += e.meter.Now() - e.flt.downAt[i]
-			}
-		}
-	}
+	r.DownTime = e.k.DownTime(e.meter.Now())
 	if e.cfg.Park.Enabled {
 		for i, p := range e.parked {
 			if p {
@@ -876,14 +712,14 @@ func (e *engine) finalize() {
 	r.EnergyConsumed = e.meter.Consumed()
 	r.EnergyEstimateLeft = e.energyLeft
 	if r.Makespan > 0 {
-		r.AvgQueueDepthTime = e.depthIntegral / (r.Makespan * float64(len(e.cores)))
+		r.AvgQueueDepthTime = e.depthIntegral / (r.Makespan * float64(e.k.NumCores()))
 	}
 	if e.cfg.VerifyEnergy {
 		if diff, err := e.meter.Verify(); err == nil {
 			r.EnergyVerifyError = diff
 		}
 	}
-	e.met.finish(r.Makespan)
+	e.met.makespan.Observe(r.Makespan)
 }
 
 // String summarizes the result in one line.

@@ -81,6 +81,13 @@ gotest -race -run 'FreeTimeEngineGrid|GridRhoParity|GridEngineCounters' ./intern
 echo "== tier 1: go test -race (lean ρ path exactness)"
 gotest -race -run 'ConvCDFAtLeastMatchesConvCDF|PointConvCDFMatchesTripleConvCDF' ./internal/pmf
 gotest -race -run 'LeanRhoPathMatchesFullRho' ./internal/sim
+# The serving engine and the simulator drive one event kernel
+# (sim.Kernel); the differential test holds the server, submitted each
+# paper trial under a manual clock, to the simulator's full observer stream
+# and outcome counts — race-enabled, since the server decides on its own
+# goroutine.
+echo "== tier 1: go test -race (server engine matches simulator)"
+gotest -race -run 'TestEngineMatchesSimulator' ./internal/server
 # Static analysis and vulnerability scanning run when the tools are on
 # PATH; the container image doesn't ship them and nothing may be
 # installed here, so absence is a skip, not a failure.
